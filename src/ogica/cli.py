@@ -65,6 +65,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _checked(convert, accept, rule: str):
+    """An argparse ``type=`` converter that also enforces a range rule;
+    argparse reports a violation through :meth:`_Parser.error`."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse: "invalid int value"
+    return parse
+
+
+def _algorithm_list(text: str) -> tuple[str, ...]:
+    algorithms = tuple(a.strip() for a in text.split(",") if a.strip())
+    if not algorithms or not set(algorithms) <= set(_ALGORITHMS):
+        raise argparse.ArgumentTypeError(
+            f"must name one or more of {', '.join(_ALGORITHMS)}, "
+            f"got {text!r}")
+    return algorithms
+
+
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_INDEX = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE = _checked(float, lambda v: v > 0, "positive")
+_NONNEGATIVE = _checked(float, lambda v: v >= 0, ">= 0")
+_FRACTION = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="ogica",
@@ -88,7 +118,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--samples", type=int, help="samples per source")
     sim.add_argument("--seed", type=int, default=None,
                      help="base seed (default: $OGICA_SEED or 0)")
-    sim.add_argument("--run", type=int, default=0,
+    sim.add_argument("--run", type=_INDEX, default=0,
                      help="run index within the seed's family (default 0)")
     sim.add_argument("--output-dir", default=".",
                      help="directory for observed/sources/mixing CSVs and "
@@ -102,19 +132,19 @@ def build_parser() -> _Parser:
     dec.add_argument("-o", "--output", default="result.json",
                      help="result JSON path (default result.json)")
     dec.add_argument("--algorithm", choices=_ALGORITHMS, default="ogextinf")
-    dec.add_argument("--tolerance", type=float, default=1e-6,
+    dec.add_argument("--tolerance", type=_POSITIVE, default=1e-6,
                      help="weight-change stopping threshold (default 1e-6)")
-    dec.add_argument("--max-iterations", type=int, default=3000,
+    dec.add_argument("--max-iterations", type=_COUNT, default=3000,
                      help="iteration cap (default 3000)")
-    dec.add_argument("--pca-variance", type=float, default=0.01,
+    dec.add_argument("--pca-variance", type=_FRACTION, default=0.01,
                      help="keep components explaining at least this "
                           "fraction of variance; 0 disables reduction "
                           "(default 0.01)")
-    dec.add_argument("--sign-cutoff", type=int, default=1000,
+    dec.add_argument("--sign-cutoff", type=_COUNT, default=1000,
                      help="sample count at which sign selection switches "
                           "from the stability rule to kurtosis "
                           "(default 1000)")
-    dec.add_argument("--learning-rate", type=float, default=1e-3,
+    dec.add_argument("--learning-rate", type=_NONNEGATIVE, default=1e-3,
                      help="extinf step size (default 1e-3; ignored by "
                           "ogextinf)")
     dec.add_argument("--init", choices=("identity", "random"),
@@ -129,19 +159,20 @@ def build_parser() -> _Parser:
         "benchmark",
         help="replicate the synthetic convergence/quality benchmark")
     ben.add_argument("--experiment", type=int, choices=(1, 2), default=1)
-    ben.add_argument("--runs", type=int, default=100,
+    ben.add_argument("--runs", type=_COUNT, default=100,
                      help="number of replicated datasets (default 100)")
-    ben.add_argument("--algorithms", default="ogextinf,extinf",
+    ben.add_argument("--algorithms", type=_algorithm_list,
+                     default="ogextinf,extinf",
                      help="comma-separated subset of: ogextinf, extinf")
     ben.add_argument("--seed", type=int, default=None,
                      help="base seed (default: $OGICA_SEED or 0)")
-    ben.add_argument("--tolerance", type=float, default=1e-6)
-    ben.add_argument("--max-iterations", type=int, default=1000,
+    ben.add_argument("--tolerance", type=_POSITIVE, default=1e-6)
+    ben.add_argument("--max-iterations", type=_COUNT, default=1000,
                      help="iteration cap per run (default 1000)")
-    ben.add_argument("--sign-cutoff", type=int, default=1000)
-    ben.add_argument("--learning-rate", type=float, default=1e-3,
+    ben.add_argument("--sign-cutoff", type=_COUNT, default=1000)
+    ben.add_argument("--learning-rate", type=_NONNEGATIVE, default=1e-3,
                      help="extinf step size (default 1e-3)")
-    ben.add_argument("--jobs", type=int, default=1,
+    ben.add_argument("--jobs", type=_COUNT, default=1,
                      help="run this many datasets in parallel (default 1)")
     ben.add_argument("-o", "--output", default="benchmark.json",
                      help="report JSON path (default benchmark.json)")
@@ -195,8 +226,6 @@ def cmd_simulate(args, parser: _Parser) -> int:
                                   samples=args.samples, seed=seed)
         except ParameterError as exc:
             parser.error(str(exc))
-    if args.run < 0:
-        parser.error("--run must be >= 0")
     dataset = make_dataset(spec, args.run)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -221,17 +250,25 @@ def cmd_simulate(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
+def _solve(algorithm: str, whitened: np.ndarray, *, tolerance: float,
+           max_iterations: int, cutoff: int, learning_rate: float,
+           initial_W: np.ndarray | None = None):
+    """Run one algorithm; return its result and the learning rate
+    extinf ended with after step halving (``None`` for ogextinf)."""
+    if algorithm == "ogextinf":
+        config = IterationConfig(
+            max_iterations=max_iterations, tolerance=tolerance,
+            sign_rule_sample_cutoff=cutoff, initial_W=initial_W)
+        return run_ogextinf(whitened, config), None
+    gconfig = GradientConfig(
+        learning_rate=learning_rate, max_iterations=max_iterations,
+        tolerance=tolerance)
+    return run_extinf(whitened, gconfig, cutoff=cutoff), gconfig.learning_rate
+
+
 def cmd_decompose(args, parser: _Parser) -> int:
-    if not 0.0 <= args.pca_variance < 1.0:
-        parser.error("--pca-variance must be in [0, 1)")
-    if not args.tolerance > 0:
-        parser.error("--tolerance must be positive")
-    if args.max_iterations < 1:
-        parser.error("--max-iterations must be >= 1")
-    if args.sign_cutoff < 1:
-        parser.error("--sign-cutoff must be >= 1")
-    if args.learning_rate < 0:
-        parser.error("--learning-rate must be >= 0")
+    if args.init == "random" and args.algorithm != "ogextinf":
+        parser.error("--init random is only supported for ogextinf")
     seed = _resolve_seed(args, parser)
 
     data = as_data_matrix(read_matrix(args.input), name=args.input)
@@ -243,28 +280,12 @@ def cmd_decompose(args, parser: _Parser) -> int:
     whitening_seconds = time.perf_counter() - tic
     m = model.retained
 
-    effective_rate = None
-    if args.algorithm == "ogextinf":
-        initial = None
-        if args.init == "random":
-            initial = random_orthogonal(m, np.random.default_rng(seed))
-        config = IterationConfig(
-            max_iterations=args.max_iterations,
-            tolerance=args.tolerance,
-            sign_rule_sample_cutoff=args.sign_cutoff,
-            initial_W=initial,
-        )
-        result = run_ogextinf(whitened, config)
-    else:
-        if args.init == "random":
-            parser.error("--init random is only supported for ogextinf")
-        gconfig = GradientConfig(
-            learning_rate=args.learning_rate,
-            max_iterations=args.max_iterations,
-            tolerance=args.tolerance,
-        )
-        result = run_extinf(whitened, gconfig, cutoff=args.sign_cutoff)
-        effective_rate = gconfig.learning_rate
+    initial = (random_orthogonal(m, np.random.default_rng(seed))
+               if args.init == "random" else None)
+    result, effective_rate = _solve(
+        args.algorithm, whitened, tolerance=args.tolerance,
+        max_iterations=args.max_iterations, cutoff=args.sign_cutoff,
+        learning_rate=args.learning_rate, initial_W=initial)
 
     payload = {
         "schema": "ogica.decompose/1",
@@ -312,12 +333,10 @@ def cmd_decompose(args, parser: _Parser) -> int:
 
 
 def _benchmark_run(spec: ExperimentSpec, run_index: int, *,
-                   algorithms: tuple[str, ...], tolerance: float,
-                   max_iterations: int, cutoff: int,
-                   learning_rate: float) -> dict:
-    """One dataset, all algorithms.  Top-level so worker processes can
-    import it; returns plain dicts so results cross process boundaries
-    cheaply."""
+                   algorithms: tuple[str, ...], solve) -> dict:
+    """One dataset, all algorithms, each run by ``solve`` (a ``partial``
+    of :func:`_solve`).  Top-level so worker processes can import it;
+    returns plain dicts so results cross process boundaries cheaply."""
     dataset = make_dataset(spec, run_index)
     model = fit_whitening(dataset.observed, 0.0)
     whitened = apply_whitening(model, dataset.observed)
@@ -325,16 +344,7 @@ def _benchmark_run(spec: ExperimentSpec, run_index: int, *,
     curves = {}
     for algo in algorithms:
         try:
-            if algo == "ogextinf":
-                config = IterationConfig(
-                    max_iterations=max_iterations, tolerance=tolerance,
-                    sign_rule_sample_cutoff=cutoff)
-                result = run_ogextinf(whitened, config)
-            else:
-                gconfig = GradientConfig(
-                    learning_rate=learning_rate,
-                    max_iterations=max_iterations, tolerance=tolerance)
-                result = run_extinf(whitened, gconfig, cutoff=cutoff)
+            result, _ = solve(algo, whitened)
             amari = amari_distance(
                 composed_unmixing(result.W, model), dataset.mixing)
             records.append({
@@ -366,33 +376,14 @@ def _benchmark_run(spec: ExperimentSpec, run_index: int, *,
 
 
 def cmd_benchmark(args, parser: _Parser) -> int:
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if not args.tolerance > 0:
-        parser.error("--tolerance must be positive")
-    if args.max_iterations < 1:
-        parser.error("--max-iterations must be >= 1")
-    if args.sign_cutoff < 1:
-        parser.error("--sign-cutoff must be >= 1")
-    if args.learning_rate < 0:
-        parser.error("--learning-rate must be >= 0")
-    algorithms = tuple(a.strip() for a in args.algorithms.split(",")
-                       if a.strip())
-    if not algorithms:
-        parser.error("--algorithms must name at least one algorithm")
-    for algo in algorithms:
-        if algo not in _ALGORITHMS:
-            parser.error(f"unknown algorithm {algo!r}; choose from "
-                         f"{', '.join(_ALGORITHMS)}")
     seed = _resolve_seed(args, parser)
     spec = experiment_preset(args.experiment, seed=seed, runs=args.runs)
     worker = partial(
-        _benchmark_run, spec,
-        algorithms=algorithms, tolerance=args.tolerance,
-        max_iterations=args.max_iterations, cutoff=args.sign_cutoff,
-        learning_rate=args.learning_rate)
+        _benchmark_run, spec, algorithms=args.algorithms,
+        solve=partial(_solve, tolerance=args.tolerance,
+                      max_iterations=args.max_iterations,
+                      cutoff=args.sign_cutoff,
+                      learning_rate=args.learning_rate))
     if args.jobs == 1:
         outcomes = [worker(r) for r in range(args.runs)]
     else:
@@ -406,7 +397,7 @@ def cmd_benchmark(args, parser: _Parser) -> int:
         "config": {
             "experiment": args.experiment,
             "runs": args.runs,
-            "algorithms": list(algorithms),
+            "algorithms": list(args.algorithms),
             "seed": seed,
             "tolerance": args.tolerance,
             "max_iterations": args.max_iterations,
@@ -431,7 +422,7 @@ def cmd_benchmark(args, parser: _Parser) -> int:
                 for algo, curve in out["curves"].items():
                     for i, change in enumerate(curve, start=1):
                         fh.write(f"{r},{algo},{i},{format(change, '.17g')}\n")
-    for algo in algorithms:
+    for algo in args.algorithms:
         block = report.aggregates[algo]
         line = (f"{algo}: {block['converged_runs']}/{block['runs']} "
                 f"runs converged")

@@ -10,25 +10,24 @@ iterations, which the multiplicative orthogonal update meets easily.
 
 from __future__ import annotations
 
-import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DivergenceError, ParameterError, ValidationError
 from .ogextinf import (
-    ConvergenceRecord,
     ICAResult,
+    _check_whitened,
+    _higher_order_cov,
+    _iterate,
+    _signs,
     apply_unmixing,
-    higher_order_cov,
     select_signs,
     weight_change,
 )
 from .validation import as_data_matrix, as_square_matrix
 
 _MAX_ANNEALS = 10
-_WHITENESS_TOL = 1e-6
 
 
 @dataclass
@@ -85,8 +84,7 @@ def extinf_step(W, whitened, config: GradientConfig,
     if not np.all(np.isfinite(S)):
         raise DivergenceError(
             "unmixed sources overflowed; the weights have diverged")
-    signs = select_signs(S, cutoff)
-    G = np.eye(W_arr.shape[0]) - higher_order_cov(S, signs)
+    G = np.eye(W_arr.shape[0]) - _higher_order_cov(S, _signs(S, cutoff))
     step_dir = G @ W_arr
     eps = config.learning_rate
     for attempt in range(_MAX_ANNEALS + 1):
@@ -117,40 +115,15 @@ def run_extinf(whitened, config: GradientConfig | None = None,
     """
     cfg = config if config is not None else GradientConfig()
     X = as_data_matrix(whitened, name="whitened")
-    m, t = X.shape
-    white_err = float(np.max(np.abs(X @ X.T / t - np.eye(m))))
-    if white_err > _WHITENESS_TOL:
-        warnings.warn(
-            f"input does not look whitened (covariance deviates from the "
-            f"identity by {white_err:.3e}); convergence may suffer",
-            stacklevel=2)
-    W = np.eye(m)
-    changes: list[float] = []
-    stopwatch: list[float] = []
-    converged = False
-    for i in range(1, cfg.max_iterations + 1):
-        tic = time.perf_counter()
-        try:
-            W, change = extinf_step(W, X, cfg, cutoff)
-        except DivergenceError as exc:
-            raise DivergenceError(f"iteration {i}: {exc}",
-                                  iteration=i) from exc
-        stopwatch.append(time.perf_counter() - tic)
-        changes.append(change)
-        if change <= cfg.tolerance:
-            converged = True
-            break
-    record = ConvergenceRecord(
-        weight_changes=np.asarray(changes),
-        elapsed=np.asarray(stopwatch),
-        converged=converged,
-        iterations_used=len(changes),
-    )
+    _check_whitened(X, strict=False)
+    W, record = _iterate(lambda W: extinf_step(W, X, cfg, cutoff),
+                         np.eye(X.shape[0]), cfg.max_iterations,
+                         cfg.tolerance)
     sources = apply_unmixing(W, X)
     return ICAResult(
         W=W,
         sources=sources,
         signs=select_signs(sources, cutoff),
         record=record,
-        elapsed_total=float(sum(stopwatch)),
+        elapsed_total=float(sum(record.elapsed)),
     )

@@ -24,6 +24,7 @@ import numpy as np
 
 from .exceptions import (
     DegenerateComponentError,
+    DivergenceError,
     ParameterError,
     SingularUpdateError,
     ValidationError,
@@ -35,8 +36,8 @@ from .validation import as_data_matrix, as_square_matrix, as_vector
 _COND_LIMIT = 1e12
 _RANK_TOL = 1e-12
 # How far the input's sample covariance may sit from the identity before
-# run_ogextinf refuses (or warns about) it; also the slack allowed when
-# checking that a state's W is still orthogonal.
+# a run refuses (or warns about) it; also the slack allowed when checking
+# that a state's W is still orthogonal.
 _WHITENESS_TOL = 1e-6
 _ORTHO_TOL = 1e-6
 
@@ -123,32 +124,21 @@ def phi(values, k) -> np.ndarray:
     return arr + k * np.tanh(arr)
 
 
-def select_sign_stability(component) -> float:
-    """Nonlinearity sign from the stability criterion.
-
-    Returns ``+1`` when the sample estimate of
-    ``E{sech^2(s)} E{s^2} - E{s tanh(s)}`` is nonnegative, else ``-1``.
-    This is the estimator of choice for short sequences, where sample
-    kurtosis is too noisy.
-    """
+def _component(component) -> np.ndarray:
     s = as_vector(component, name="component")
     if s.shape[0] < 2:
         raise ValidationError("component needs at least 2 samples")
+    return s
+
+
+def _stability_sign(s: np.ndarray) -> float:
     th = np.tanh(s)
     # sech^2 = 1 - tanh^2 avoids a separate cosh evaluation.
     crit = (1.0 - th * th).mean() * (s * s).mean() - (th * s).mean()
     return 1.0 if crit >= 0.0 else -1.0
 
 
-def select_sign_kurtosis(component) -> float:
-    """Nonlinearity sign from the sample excess kurtosis.
-
-    Positive (or zero) excess kurtosis maps to ``+1``, negative to
-    ``-1``.  Moments are central sample moments with 1/t normalization.
-    """
-    s = as_vector(component, name="component")
-    if s.shape[0] < 2:
-        raise ValidationError("component needs at least 2 samples")
+def _kurtosis_sign(s: np.ndarray) -> float:
     c = s - s.mean()
     c2 = c * c
     m2 = c2.mean()
@@ -159,15 +149,44 @@ def select_sign_kurtosis(component) -> float:
     return 1.0 if excess >= 0.0 else -1.0
 
 
+def _signs(S: np.ndarray, cutoff: int) -> np.ndarray:
+    """Unchecked :func:`select_signs` for a finite S with t >= 2."""
+    rule = _stability_sign if S.shape[1] < cutoff else _kurtosis_sign
+    return np.array([rule(row) for row in S])
+
+
+def _higher_order_cov(S: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Unchecked :func:`higher_order_cov` for matching S and +-1 signs."""
+    return (S + signs[:, None] * np.tanh(S)) @ S.T / S.shape[1]
+
+
+def select_sign_stability(component) -> float:
+    """Nonlinearity sign from the stability criterion.
+
+    Returns ``+1`` when the sample estimate of
+    ``E{sech^2(s)} E{s^2} - E{s tanh(s)}`` is nonnegative, else ``-1``.
+    This is the estimator of choice for short sequences, where sample
+    kurtosis is too noisy.
+    """
+    return _stability_sign(_component(component))
+
+
+def select_sign_kurtosis(component) -> float:
+    """Nonlinearity sign from the sample excess kurtosis.
+
+    Positive (or zero) excess kurtosis maps to ``+1``, negative to
+    ``-1``.  Moments are central sample moments with 1/t normalization.
+    """
+    return _kurtosis_sign(_component(component))
+
+
 def select_signs(sources, cutoff: int = 1000) -> np.ndarray:
     """Per-row nonlinearity signs for a source matrix.
 
     Uses :func:`select_sign_stability` when the matrix has fewer than
     ``cutoff`` samples and :func:`select_sign_kurtosis` otherwise.
     """
-    S = as_data_matrix(sources, name="sources")
-    rule = select_sign_stability if S.shape[1] < cutoff else select_sign_kurtosis
-    return np.array([rule(row) for row in S])
+    return _signs(as_data_matrix(sources, name="sources"), cutoff)
 
 
 def higher_order_cov(sources, signs) -> np.ndarray:
@@ -185,8 +204,7 @@ def higher_order_cov(sources, signs) -> np.ndarray:
             f"got {k.shape[0]} signs for {S.shape[0]} source rows")
     if not np.all((k == 1.0) | (k == -1.0)):
         raise ParameterError("signs must contain only +1 and -1")
-    phi_s = S + k[:, None] * np.tanh(S)
-    return phi_s @ S.T / S.shape[1]
+    return _higher_order_cov(S, k)
 
 
 def symmetric_orthogonalize(M) -> np.ndarray:
@@ -255,9 +273,8 @@ def update_step(state: UnmixingState, whitened,
     if np.max(np.abs(W @ W.T - np.eye(W.shape[0]))) > _ORTHO_TOL:
         raise ValidationError("state.W is not orthogonal")
     S = W @ X
-    signs = select_signs(S, cutoff)
-    r_hat = higher_order_cov(S, signs)
-    W_next = multiplicative_update(W, r_hat)
+    signs = _signs(S, cutoff)
+    W_next = multiplicative_update(W, _higher_order_cov(S, signs))
     return UnmixingState(
         W=W_next,
         signs=signs,
@@ -293,6 +310,7 @@ def random_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _check_whitened(X: np.ndarray, strict: bool) -> None:
+    """Raise (``strict``) or warn when X's sample covariance is not I."""
     m, t = X.shape
     err = float(np.max(np.abs(X @ X.T / t - np.eye(m))))
     if err > _WHITENESS_TOL:
@@ -301,6 +319,37 @@ def _check_whitened(X: np.ndarray, strict: bool) -> None:
         if strict:
             raise ValidationError(msg)
         warnings.warn(msg, stacklevel=3)
+
+
+def _iterate(step, state, max_iterations: int, tolerance: float):
+    """Apply ``step(state) -> (state, weight_change)`` under the stopping
+    rule; return the last state and its :class:`ConvergenceRecord`.  A
+    step's numerical error is re-raised with the 1-based iteration."""
+    changes: list[float] = []
+    stopwatch: list[float] = []
+    converged = False
+    for i in range(1, max_iterations + 1):
+        tic = time.perf_counter()
+        try:
+            state, change = step(state)
+        except SingularUpdateError as exc:
+            raise SingularUpdateError(
+                f"iteration {i}: {exc}", condition=exc.condition,
+                iteration=i) from exc
+        except DivergenceError as exc:
+            raise DivergenceError(f"iteration {i}: {exc}",
+                                  iteration=i) from exc
+        stopwatch.append(time.perf_counter() - tic)
+        changes.append(change)
+        if change <= tolerance:
+            converged = True
+            break
+    return state, ConvergenceRecord(
+        weight_changes=np.asarray(changes),
+        elapsed=np.asarray(stopwatch),
+        converged=converged,
+        iterations_used=len(changes),
+    )
 
 
 def run_ogextinf(whitened, config: IterationConfig | None = None, *,
@@ -344,33 +393,17 @@ def run_ogextinf(whitened, config: IterationConfig | None = None, *,
                 f"{m} rows")
         if np.max(np.abs(W0 @ W0.T - np.eye(m))) > 1e-8:
             raise ValidationError("initial_W must be orthogonal")
-    state = UnmixingState(W=W0, signs=np.ones(m))
-    changes: list[float] = []
-    stopwatch: list[float] = []
-    converged = False
-    for i in range(1, cfg.max_iterations + 1):
-        tic = time.perf_counter()
-        try:
-            state = update_step(state, X, cfg.sign_rule_sample_cutoff)
-        except SingularUpdateError as exc:
-            raise SingularUpdateError(
-                f"iteration {i}: {exc}", condition=exc.condition,
-                iteration=i) from exc
-        stopwatch.append(time.perf_counter() - tic)
-        changes.append(state.weight_change)
-        if state.weight_change <= cfg.tolerance:
-            converged = True
-            break
-    record = ConvergenceRecord(
-        weight_changes=np.asarray(changes),
-        elapsed=np.asarray(stopwatch),
-        converged=converged,
-        iterations_used=len(changes),
-    )
+
+    def step(state: UnmixingState) -> tuple[UnmixingState, float]:
+        state = update_step(state, X, cfg.sign_rule_sample_cutoff)
+        return state, state.weight_change
+
+    state, record = _iterate(step, UnmixingState(W=W0, signs=np.ones(m)),
+                             cfg.max_iterations, cfg.tolerance)
     return ICAResult(
         W=state.W,
         sources=apply_unmixing(state.W, X),
         signs=state.signs,
         record=record,
-        elapsed_total=float(sum(stopwatch)),
+        elapsed_total=float(sum(record.elapsed)),
     )

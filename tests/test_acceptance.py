@@ -303,7 +303,7 @@ def test_extended_large_layout(capsys):
     rate = np.mean(conv)
     med = percentile_nearest_rank(iters, 50)
     ok = rate >= 0.9 and 150 <= med <= 800 and max(orthos) <= 1e-8
-    _report(capsys, 9, ok,
+    _report(capsys, 11, ok,
             f"50x10000 layout over {runs} runs: {rate:.0%} converged, "
             f"median {med:.0f} iterations, worst orthogonality error "
             f"{max(orthos):.2e}, median wall "

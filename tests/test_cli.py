@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ogica
 from ogica import (
     ExperimentSpec,
     ValidationError,
@@ -208,11 +211,13 @@ def test_decompose_random_init_seeded(mixture_dir, tmp_path):
 
 
 def test_decompose_random_init_requires_ogextinf(mixture_dir, tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["decompose", str(mixture_dir / "observed.csv"),
-              "-o", str(tmp_path / "x.json"),
-              "--algorithm", "extinf", "--init", "random"])
-    assert excinfo.value.code == 1
+    # A usage error, reported before the input is read: a missing input
+    # file must not turn it into an I/O error.
+    for source in (mixture_dir / "observed.csv", tmp_path / "absent.csv"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["decompose", str(source), "-o", str(tmp_path / "x.json"),
+                  "--algorithm", "extinf", "--init", "random"])
+        assert excinfo.value.code == 1, source
 
 
 def test_decompose_reduces_rank_deficient_input(tmp_path):
@@ -396,7 +401,9 @@ def test_benchmark_rejects_unknown_algorithm(tmp_path):
 
 def test_benchmark_flag_validation(tmp_path):
     for flags in (["--runs", "0"], ["--jobs", "0"],
-                  ["--tolerance", "-1"], ["--algorithms", ""]):
+                  ["--tolerance", "-1"], ["--algorithms", ""],
+                  ["--max-iterations", "0"], ["--sign-cutoff", "0"],
+                  ["--learning-rate", "-1"]):
         with pytest.raises(SystemExit) as excinfo:
             main(["benchmark", "-o", str(tmp_path / "r.json")] + flags)
         assert excinfo.value.code == 1, flags
@@ -419,11 +426,16 @@ def test_version_flag(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # The child imports the same ogica as this process, installed or not.
+    package_root = str(Path(ogica.__file__).resolve().parents[1])
+    path = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "ogica", "simulate", "--n-super", "1",
          "--n-sub", "1", "--samples", "64", "--seed", "5",
          "--output-dir", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert (tmp_path / "manifest.json").exists()
     assert "wrote 2x64 dataset" in proc.stdout
