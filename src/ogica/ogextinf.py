@@ -2,9 +2,10 @@
 
 The unmixing matrix is updated multiplicatively and projected back onto
 the orthogonal group after every step: with ``S = W X`` the current source
-estimate, the higher-order covariance ``R = E{phi(S) S^T}`` is formed,
-``W`` is replaced by ``R^{-1} W``, and the result is mapped to the nearest
-orthogonal matrix via its polar factor.  The nonlinearity
+estimate, the higher-order covariance ``R = E{phi(S) S^T}`` is formed and
+``W`` becomes the polar factor (nearest orthogonal matrix) of ``R^{-1} W``,
+which for orthogonal ``W`` is ``polar(W^T R)^T``: one SVD of ``W^T R`` per
+step, with no inverse or linear solve.  The nonlinearity
 ``phi(s) = s + k tanh(s)`` switches between a super-Gaussian (``k = +1``)
 and sub-Gaussian (``k = -1``) shape per component, with ``k`` re-estimated
 from the data on every iteration.
@@ -31,9 +32,8 @@ from .exceptions import (
 )
 from .validation import as_data_matrix, as_square_matrix, as_vector
 
-# Reject the multiplicative update when the higher-order covariance (or
-# the matrix handed to the orthogonalization) is this ill-conditioned.
-_COND_LIMIT = 1e12
+# Refuse to orthogonalize a matrix whose smallest singular value is at
+# most this fraction of its largest (condition >= 1e12, or singular).
 _RANK_TOL = 1e-12
 # How far the input's sample covariance may sit from the identity before
 # a run refuses (or warns about) it; also the slack allowed when checking
@@ -207,42 +207,48 @@ def higher_order_cov(sources, signs) -> np.ndarray:
     return _higher_order_cov(S, k)
 
 
+def _polar(M: np.ndarray) -> np.ndarray:
+    """Unchecked :func:`symmetric_orthogonalize` for a finite square M."""
+    U, s, Vt = np.linalg.svd(M)
+    if s[0] == 0.0 or s[-1] <= _RANK_TOL * s[0]:
+        cond = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
+        raise SingularUpdateError(
+            "matrix is singular or too ill-conditioned to orthogonalize "
+            f"(condition estimate {cond:.3e})", condition=cond)
+    return U @ Vt
+
+
+def _check_orthogonal(W: np.ndarray, m: int, name: str,
+                      tol: float = _ORTHO_TOL) -> None:
+    """Raise unless the square W is m x m and orthogonal within tol."""
+    if W.shape[0] != m:
+        raise ValidationError(f"{name} has shape {W.shape}, expected {(m, m)}")
+    err = float(np.max(np.abs(W @ W.T - np.eye(m))))
+    if err > tol:
+        raise ValidationError(f"{name} is not orthogonal (error {err:.1e})")
+
+
 def symmetric_orthogonalize(M) -> np.ndarray:
     """Map ``M`` to the nearest orthogonal matrix ``M (M^T M)^{-1/2}``.
 
     Computed as ``U V^T`` from the singular value decomposition
-    ``M = U diag(s) V^T``, which is the polar factor of ``M``.
+    ``M = U diag(s) V^T``, which is the polar factor of ``M``; a condition
+    number ``s[0] / s[-1]`` of 1e12 or more raises SingularUpdateError.
     """
-    arr = as_square_matrix(M, name="M")
-    U, s, Vt = np.linalg.svd(arr)
-    if s[0] == 0.0 or s[-1] <= _RANK_TOL * s[0]:
-        cond = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
-        raise SingularUpdateError(
-            "matrix is rank deficient; cannot orthogonalize",
-            condition=cond)
-    return U @ Vt
+    return _polar(as_square_matrix(M, name="M"))
 
 
 def multiplicative_update(W, r_hat) -> np.ndarray:
     """One multiplicative step: orthogonalize ``r_hat^{-1} W``.
 
-    The inverse is never formed; the linear systems ``r_hat X = W`` are
-    solved by a pivoted factorization, guarded by a condition-number
-    limit of 1e12.
+    For orthogonal ``W`` (checked to 1e-6) this is ``polar(W^T r_hat)^T``:
+    one SVD of ``W^T r_hat``, which also gives the condition check of
+    :func:`symmetric_orthogonalize`, and no inverse or linear solve.
     """
     W_arr = as_square_matrix(W, name="W")
     r_arr = as_square_matrix(r_hat, name="r_hat")
-    if W_arr.shape != r_arr.shape:
-        raise ValidationError(
-            f"W has shape {W_arr.shape} but r_hat has shape {r_arr.shape}")
-    sv = np.linalg.svd(r_arr, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > _COND_LIMIT:
-        cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-        raise SingularUpdateError(
-            "higher-order covariance is singular or too ill-conditioned "
-            f"(condition estimate {cond:.3e})", condition=cond)
-    w_tilde = np.linalg.solve(r_arr, W_arr)
-    return symmetric_orthogonalize(w_tilde)
+    _check_orthogonal(W_arr, r_arr.shape[0], "W")
+    return _polar(W_arr.T @ r_arr).T
 
 
 def weight_change(W_prev, W_next) -> float:
@@ -266,15 +272,10 @@ def update_step(state: UnmixingState, whitened,
     """
     X = as_data_matrix(whitened, name="whitened")
     W = as_square_matrix(state.W, name="state.W")
-    if W.shape[0] != X.shape[0]:
-        raise ValidationError(
-            f"state.W is {W.shape[0]}x{W.shape[0]} but data has "
-            f"{X.shape[0]} rows")
-    if np.max(np.abs(W @ W.T - np.eye(W.shape[0]))) > _ORTHO_TOL:
-        raise ValidationError("state.W is not orthogonal")
+    _check_orthogonal(W, X.shape[0], "state.W")
     S = W @ X
     signs = _signs(S, cutoff)
-    W_next = multiplicative_update(W, _higher_order_cov(S, signs))
+    W_next = _polar(W.T @ _higher_order_cov(S, signs)).T
     return UnmixingState(
         W=W_next,
         signs=signs,
@@ -387,12 +388,7 @@ def run_ogextinf(whitened, config: IterationConfig | None = None, *,
         W0 = np.eye(m)
     else:
         W0 = as_square_matrix(cfg.initial_W, name="initial_W")
-        if W0.shape[0] != m:
-            raise ValidationError(
-                f"initial_W is {W0.shape[0]}x{W0.shape[0]} but data has "
-                f"{m} rows")
-        if np.max(np.abs(W0 @ W0.T - np.eye(m))) > 1e-8:
-            raise ValidationError("initial_W must be orthogonal")
+        _check_orthogonal(W0, m, "initial_W", 1e-8)
 
     def step(state: UnmixingState) -> tuple[UnmixingState, float]:
         state = update_step(state, X, cfg.sign_rule_sample_cutoff)

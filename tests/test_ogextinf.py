@@ -271,7 +271,8 @@ def test_orthogonalize_singular_input():
     rank1 = np.outer(np.ones(3), np.arange(1.0, 4.0))
     with pytest.raises(SingularUpdateError) as excinfo:
         symmetric_orthogonalize(rank1)
-    assert excinfo.value.condition is None or excinfo.value.condition > 1e12
+    assert excinfo.value.condition > 1e12
+    assert "condition estimate" in str(excinfo.value)
 
 
 # --------------------------------------------- multiplicative_update
@@ -298,11 +299,19 @@ def test_multiplicative_update_rejects_singular():
     with pytest.raises(SingularUpdateError) as excinfo:
         multiplicative_update(np.eye(2), np.diag([1.0, 1e-13]))
     assert excinfo.value.condition > 1e12
+    assert "condition estimate" in str(excinfo.value)
+    # one rule: condition 1e12 is rejected, anything below it is not
+    with pytest.raises(SingularUpdateError):
+        multiplicative_update(np.eye(2), np.diag([1.0, 1e-12]))
+    multiplicative_update(np.eye(2), np.diag([1.0, 1.0000001e-12]))
 
 
 def test_multiplicative_update_shape_mismatch():
     with pytest.raises(ValidationError):
         multiplicative_update(np.eye(2), np.eye(3))
+    # the one-SVD form polar(W^T r_hat)^T needs an orthogonal W
+    with pytest.raises(ValidationError):
+        multiplicative_update(np.diag([2.0, 1.0]), np.eye(2))
 
 
 def test_scale_invariance_of_update():
@@ -367,6 +376,18 @@ def test_update_step_rejects_nonorthogonal_state():
                           signs=np.ones(2))
     with pytest.raises(ValidationError):
         update_step(state, X, 1000)
+
+
+def test_update_step_reprojects_nearly_orthogonal_state():
+    # A W inside the 1e-6 state tolerance but visibly off the orthogonal
+    # group comes back orthogonal to roundoff; V U^T W would keep its error.
+    X = _whitened_mixture(2, 2, 3000, seed=77)
+    Q = random_orthogonal(4, np.random.default_rng(12))
+    W = Q @ np.diag(1.0 + 2e-7 * np.array([1.0, -1.0, 1.0, -1.0]))
+    before = np.max(np.abs(W @ W.T - np.eye(4)))
+    assert 1e-7 < before <= 1e-6
+    after = update_step(UnmixingState(W=W, signs=np.ones(4)), X, 1000)
+    assert np.max(np.abs(after.W @ after.W.T - np.eye(4))) <= 1e-14
 
 
 def test_update_step_keeps_orthogonality():
