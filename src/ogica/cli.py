@@ -253,17 +253,15 @@ def cmd_simulate(args, parser: _Parser) -> int:
 def _solve(algorithm: str, whitened: np.ndarray, *, tolerance: float,
            max_iterations: int, cutoff: int, learning_rate: float,
            initial_W: np.ndarray | None = None):
-    """Run one algorithm; return its result and the learning rate
-    extinf ended with after step halving (``None`` for ogextinf)."""
+    """Run one algorithm and return its :class:`ICAResult`."""
     if algorithm == "ogextinf":
         config = IterationConfig(
             max_iterations=max_iterations, tolerance=tolerance,
             sign_rule_sample_cutoff=cutoff, initial_W=initial_W)
-        return run_ogextinf(whitened, config), None
-    gconfig = GradientConfig(
-        learning_rate=learning_rate, max_iterations=max_iterations,
-        tolerance=tolerance)
-    return run_extinf(whitened, gconfig, cutoff=cutoff), gconfig.learning_rate
+        return run_ogextinf(whitened, config)
+    config = GradientConfig(learning_rate=learning_rate,
+                            max_iterations=max_iterations, tolerance=tolerance)
+    return run_extinf(whitened, config, cutoff=cutoff)
 
 
 def cmd_decompose(args, parser: _Parser) -> int:
@@ -282,7 +280,7 @@ def cmd_decompose(args, parser: _Parser) -> int:
 
     initial = (random_orthogonal(m, np.random.default_rng(seed))
                if args.init == "random" else None)
-    result, effective_rate = _solve(
+    result = _solve(
         args.algorithm, whitened, tolerance=args.tolerance,
         max_iterations=args.max_iterations, cutoff=args.sign_cutoff,
         learning_rate=args.learning_rate, initial_W=initial)
@@ -315,7 +313,7 @@ def cmd_decompose(args, parser: _Parser) -> int:
             "weight_changes": result.record.weight_changes.tolist(),
             "W_whitened": result.W.tolist(),
             "W_composed": (result.W @ model.whitener).tolist(),
-            "learning_rate_effective": effective_rate,
+            "learning_rate_effective": result.learning_rate,
         },
         "timing": {
             "whitening_seconds": whitening_seconds,
@@ -344,7 +342,7 @@ def _benchmark_run(spec: ExperimentSpec, run_index: int, *,
     curves = {}
     for algo in algorithms:
         try:
-            result, _ = solve(algo, whitened)
+            result = solve(algo, whitened)
             amari = amari_distance(
                 composed_unmixing(result.W, model), dataset.mixing)
             records.append({

@@ -10,7 +10,7 @@ iterations, which the multiplicative orthogonal update meets easily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,9 +18,8 @@ from .exceptions import DivergenceError, ParameterError, ValidationError
 from .ogextinf import (
     ICAResult,
     _check_whitened,
-    _higher_order_cov,
     _iterate,
-    _signs,
+    _phi_cov,
     apply_unmixing,
     select_signs,
     weight_change,
@@ -30,7 +29,7 @@ from .validation import as_data_matrix, as_square_matrix
 _MAX_ANNEALS = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradientConfig:
     """Settings for a natural-gradient run.
 
@@ -38,8 +37,8 @@ class GradientConfig:
     step), negative values are not.  When ``anneal`` is on, a step that
     produces non-finite weights or a weight change above
     ``blowup_threshold`` is retried from the last finite ``W`` with eps
-    halved, at most 10 times per step; the halved rate is written back to
-    this config so it persists for the rest of the run.
+    halved, at most 10 times per step; the halved rate persists for the
+    rest of that run (the config itself never changes).
     """
 
     learning_rate: float = 1e-3
@@ -65,13 +64,14 @@ class GradientConfig:
 
 
 def extinf_step(W, whitened, config: GradientConfig,
-                cutoff: int = 1000) -> tuple[np.ndarray, float]:
+                cutoff: int = 1000) -> tuple[np.ndarray, float, float]:
     """One natural-gradient step.
 
-    Computes ``S = W X``, selects signs exactly as the orthogonal
-    variant does, forms ``G = I - (1/t) Phi(S) S^T`` and returns
-    ``W + eps G W`` together with the Frobenius norm of the difference
-    (which carries the eps factor).
+    Computes ``S = W X``, selects signs and forms ``(1/t) Phi(S) S^T``
+    with the orthogonal variant's kernel, and returns ``W + eps G W``
+    for ``G = I - (1/t) Phi(S) S^T``, the Frobenius norm of the
+    difference (which carries the eps factor) and the eps the step used
+    after any halvings.
     """
     W_arr = as_square_matrix(W, name="W")
     X = as_data_matrix(whitened, name="whitened")
@@ -84,7 +84,7 @@ def extinf_step(W, whitened, config: GradientConfig,
     if not np.all(np.isfinite(S)):
         raise DivergenceError(
             "unmixed sources overflowed; the weights have diverged")
-    G = np.eye(W_arr.shape[0]) - _higher_order_cov(S, _signs(S, cutoff))
+    G = np.eye(W_arr.shape[0]) - _phi_cov(S, cutoff)[0]
     step_dir = G @ W_arr
     eps = config.learning_rate
     for attempt in range(_MAX_ANNEALS + 1):
@@ -100,8 +100,7 @@ def extinf_step(W, whitened, config: GradientConfig,
                 + ("" if not config.anneal
                    else f" after {attempt} halvings of the learning rate"))
         eps *= 0.5
-    config.learning_rate = eps
-    return W_next, change
+    return W_next, change, eps
 
 
 def run_extinf(whitened, config: GradientConfig | None = None,
@@ -116,9 +115,16 @@ def run_extinf(whitened, config: GradientConfig | None = None,
     cfg = config if config is not None else GradientConfig()
     X = as_data_matrix(whitened, name="whitened")
     _check_whitened(X, strict=False)
-    W, record = _iterate(lambda W: extinf_step(W, X, cfg, cutoff),
-                         np.eye(X.shape[0]), cfg.max_iterations,
-                         cfg.tolerance)
+
+    def step(state):
+        W, step_cfg = state
+        W, change, eps = extinf_step(W, X, step_cfg, cutoff)
+        if eps != step_cfg.learning_rate:
+            step_cfg = replace(step_cfg, learning_rate=eps)
+        return (W, step_cfg), change
+
+    (W, last_cfg), record = _iterate(step, (np.eye(X.shape[0]), cfg),
+                                     cfg.max_iterations, cfg.tolerance)
     sources = apply_unmixing(W, X)
     return ICAResult(
         W=W,
@@ -126,4 +132,5 @@ def run_extinf(whitened, config: GradientConfig | None = None,
         signs=select_signs(sources, cutoff),
         record=record,
         elapsed_total=float(sum(record.elapsed)),
+        learning_rate=last_cfg.learning_rate,
     )

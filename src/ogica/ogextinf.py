@@ -10,6 +10,11 @@ step, with no inverse or linear solve.  The nonlinearity
 and sub-Gaussian (``k = -1``) shape per component, with ``k`` re-estimated
 from the data on every iteration.
 
+Both solvers get the signs and ``R`` from one kernel, ``_phi_cov``, that
+besides ``S`` fills a single m x t work buffer: first with what the sign
+rule reduces per row (``tanh(S)``, or the squared centred rows), then
+with ``phi(S)``, formed in place before one matrix product with ``S^T``.
+
 There is no learning rate anywhere in this scheme; the iteration either
 sits at a fixed point (``R = I``, the Bussgang condition for independent
 unit-variance sources) or moves by whole multiplicative steps.
@@ -97,6 +102,8 @@ class ICAResult:
 
     ``W`` unmixes the (whitened) input that was handed to the run;
     compose it with the whitening transform to unmix raw data.
+    ``learning_rate`` is the step size a natural-gradient run ended with
+    after any halvings; ``None`` for OgExtInf, which has none.
     """
 
     W: np.ndarray
@@ -104,6 +111,7 @@ class ICAResult:
     signs: np.ndarray
     record: ConvergenceRecord
     elapsed_total: float
+    learning_rate: float | None = None
 
     @property
     def converged(self) -> bool:
@@ -124,40 +132,63 @@ def phi(values, k) -> np.ndarray:
     return arr + k * np.tanh(arr)
 
 
+def _stability_signs(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Stability-rule signs of the rows of S; leaves ``tanh(S)`` in T."""
+    t = S.shape[1]
+    np.tanh(S, out=T)
+    # E{sech^2} = 1 - E{tanh^2} avoids a separate cosh evaluation.
+    crit = ((1.0 - np.einsum("ij,ij->i", T, T) / t)
+            * (np.einsum("ij,ij->i", S, S) / t)
+            - np.einsum("ij,ij->i", T, S) / t)
+    return np.where(crit >= 0.0, 1.0, -1.0)
+
+
+def _kurtosis_signs(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Kurtosis-rule signs of the rows of S, with T as scratch."""
+    t = S.shape[1]
+    np.subtract(S, S.mean(axis=1, keepdims=True), out=T)
+    np.multiply(T, T, out=T)
+    m2 = T.mean(axis=1)
+    if np.any(m2 == 0.0):
+        raise DegenerateComponentError(
+            "component has zero sample variance; kurtosis sign undefined")
+    excess = np.einsum("ij,ij->i", T, T) / t / (m2 * m2) - 3.0
+    return np.where(excess >= 0.0, 1.0, -1.0)
+
+
+def _signs(S: np.ndarray, T: np.ndarray, cutoff: int) -> np.ndarray:
+    """Signs under the rule that t picks: stability below the cutoff."""
+    rule = _stability_signs if S.shape[1] < cutoff else _kurtosis_signs
+    return rule(S, T)
+
+
+def _phi_gram(S: np.ndarray, T: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """``(1/t) Phi(S) S^T``, forming ``Phi(S)`` in place in ``T = tanh(S)``.
+
+    Bit for bit ``(S + k tanh(S)) S^T / t``: scaling by +-1 is exact,
+    addition commutes, and the matrix product gets the same operands.
+    """
+    T *= signs[:, None]
+    T += S
+    return T @ S.T / S.shape[1]
+
+
+def _phi_cov(S: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked signs and higher-order covariance of a finite S (t >= 2),
+    with one m x t work buffer for the sign rule and ``Phi(S)``."""
+    T = np.empty_like(S)
+    signs = _signs(S, T, cutoff)
+    if S.shape[1] >= cutoff:  # the kurtosis rule left its scratch in T
+        np.tanh(S, out=T)
+    return _phi_gram(S, T, signs), signs
+
+
 def _component(component) -> np.ndarray:
+    """A validated 1-D component as a 1 x t matrix."""
     s = as_vector(component, name="component")
     if s.shape[0] < 2:
         raise ValidationError("component needs at least 2 samples")
-    return s
-
-
-def _stability_sign(s: np.ndarray) -> float:
-    th = np.tanh(s)
-    # sech^2 = 1 - tanh^2 avoids a separate cosh evaluation.
-    crit = (1.0 - th * th).mean() * (s * s).mean() - (th * s).mean()
-    return 1.0 if crit >= 0.0 else -1.0
-
-
-def _kurtosis_sign(s: np.ndarray) -> float:
-    c = s - s.mean()
-    c2 = c * c
-    m2 = c2.mean()
-    if m2 == 0.0:
-        raise DegenerateComponentError(
-            "component has zero sample variance; kurtosis sign undefined")
-    excess = (c2 * c2).mean() / (m2 * m2) - 3.0
-    return 1.0 if excess >= 0.0 else -1.0
-
-
-def _signs(S: np.ndarray, cutoff: int) -> np.ndarray:
-    """Unchecked :func:`select_signs` for a finite S with t >= 2."""
-    rule = _stability_sign if S.shape[1] < cutoff else _kurtosis_sign
-    return np.array([rule(row) for row in S])
-
-
-def _higher_order_cov(S: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Unchecked :func:`higher_order_cov` for matching S and +-1 signs."""
-    return (S + signs[:, None] * np.tanh(S)) @ S.T / S.shape[1]
+    return s[None, :]
 
 
 def select_sign_stability(component) -> float:
@@ -168,7 +199,8 @@ def select_sign_stability(component) -> float:
     This is the estimator of choice for short sequences, where sample
     kurtosis is too noisy.
     """
-    return _stability_sign(_component(component))
+    S = _component(component)
+    return float(_stability_signs(S, np.empty_like(S))[0])
 
 
 def select_sign_kurtosis(component) -> float:
@@ -177,25 +209,29 @@ def select_sign_kurtosis(component) -> float:
     Positive (or zero) excess kurtosis maps to ``+1``, negative to
     ``-1``.  Moments are central sample moments with 1/t normalization.
     """
-    return _kurtosis_sign(_component(component))
+    S = _component(component)
+    return float(_kurtosis_signs(S, np.empty_like(S))[0])
 
 
 def select_signs(sources, cutoff: int = 1000) -> np.ndarray:
     """Per-row nonlinearity signs for a source matrix.
 
-    Uses :func:`select_sign_stability` when the matrix has fewer than
-    ``cutoff`` samples and :func:`select_sign_kurtosis` otherwise.
+    Uses the rule of :func:`select_sign_stability` when the matrix has
+    fewer than ``cutoff`` samples and that of :func:`select_sign_kurtosis`
+    otherwise, for all rows at once, with one m x t work buffer.
     """
-    return _signs(as_data_matrix(sources, name="sources"), cutoff)
+    S = as_data_matrix(sources, name="sources")
+    return _signs(S, np.empty_like(S), cutoff)
 
 
 def higher_order_cov(sources, signs) -> np.ndarray:
     """Higher-order covariance ``(1/t) Phi(S) S^T``.
 
-    ``Phi`` applies :func:`phi` to each row with that row's sign.  The
-    1/t factor keeps entries O(1) regardless of the sample count; it has
-    no effect on the algorithm because the subsequent orthogonalization
-    cancels any positive scaling of this matrix.
+    ``Phi`` applies :func:`phi` to each row with that row's sign, formed
+    in place in one m x t work buffer before a single matrix product.
+    The 1/t factor keeps entries O(1) regardless of the sample count; it
+    has no effect on the algorithm because the subsequent
+    orthogonalization cancels any positive scaling of this matrix.
     """
     S = as_data_matrix(sources, name="sources", min_samples=1)
     k = as_vector(signs, name="signs")
@@ -204,7 +240,7 @@ def higher_order_cov(sources, signs) -> np.ndarray:
             f"got {k.shape[0]} signs for {S.shape[0]} source rows")
     if not np.all((k == 1.0) | (k == -1.0)):
         raise ParameterError("signs must contain only +1 and -1")
-    return _higher_order_cov(S, k)
+    return _phi_gram(S, np.tanh(S), k)
 
 
 def _polar(M: np.ndarray) -> np.ndarray:
@@ -274,8 +310,8 @@ def update_step(state: UnmixingState, whitened,
     W = as_square_matrix(state.W, name="state.W")
     _check_orthogonal(W, X.shape[0], "state.W")
     S = W @ X
-    signs = _signs(S, cutoff)
-    W_next = _polar(W.T @ _higher_order_cov(S, signs)).T
+    R, signs = _phi_cov(S, cutoff)
+    W_next = _polar(W.T @ R).T
     return UnmixingState(
         W=W_next,
         signs=signs,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -43,15 +45,18 @@ def test_config_defaults_and_validation():
         GradientConfig(tolerance=-1.0)
     with pytest.raises(ParameterError):
         GradientConfig(blowup_threshold=0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.learning_rate = 1.0
 
 
 def test_step_with_zero_rate_is_identity():
     X = _whitened_mixture(2, 1, 2000, seed=31)
     W = np.eye(3) + 0.01
     config = GradientConfig(learning_rate=0.0, anneal=False)
-    W_next, change = extinf_step(W.copy(), X, config)
+    W_next, change, eps = extinf_step(W.copy(), X, config)
     assert np.array_equal(W_next, W)
     assert change == 0.0
+    assert eps == 0.0
 
 
 def test_step_is_stationary_at_exact_solution():
@@ -63,7 +68,7 @@ def test_step_is_stationary_at_exact_solution():
         [0.0, 0.0, b, -b, 0.0, 0.0, 0.0, 0.0],
     ])
     assert np.array_equal(higher_order_cov(X, np.ones(2)), np.eye(2))
-    W_next, change = extinf_step(np.eye(2), X, GradientConfig())
+    W_next, change, _ = extinf_step(np.eye(2), X, GradientConfig())
     assert np.array_equal(W_next, np.eye(2))
     assert change == 0.0
 
@@ -73,7 +78,9 @@ def test_step_matches_dense_oracle():
     rng = np.random.default_rng(7)
     W = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
     eps = 1e-3
-    W_next, change = extinf_step(W.copy(), X, GradientConfig(learning_rate=eps))
+    W_next, change, used = extinf_step(W.copy(), X,
+                                       GradientConfig(learning_rate=eps))
+    assert used == eps
 
     S = W @ X
     signs = select_signs(S, 1000)
@@ -89,7 +96,8 @@ def test_step_first_order_in_learning_rate():
     W = np.eye(3) * 1.1
     slopes = []
     for eps in (1e-4, 1e-6):
-        W_next, _ = extinf_step(W.copy(), X, GradientConfig(learning_rate=eps))
+        W_next, _, _ = extinf_step(W.copy(), X,
+                                   GradientConfig(learning_rate=eps))
         slopes.append((W_next - W) / eps)
     assert_allclose(slopes[0], slopes[1], rtol=1e-9, atol=0)
 
@@ -99,7 +107,7 @@ def test_step_uses_small_sample_sign_rule_below_cutoff():
     # pick different signs, so only the stability-rule oracle matches.
     X = _whitened_mixture(2, 1, 400, seed=2)
     W = np.eye(3)
-    W_next, _ = extinf_step(W.copy(), X, GradientConfig())
+    W_next, _, _ = extinf_step(W.copy(), X, GradientConfig())
 
     def oracle(signs):
         return W + 1e-3 * (np.eye(3) - higher_order_cov(X, signs)) @ W
@@ -123,11 +131,11 @@ def test_annealing_halves_rate_exact_number_of_times():
     threshold = 1e3
     eps0 = threshold * (2.0 ** 6) / norm_step * 1.01
     config = GradientConfig(learning_rate=eps0, blowup_threshold=threshold)
-    W_next, change = extinf_step(W.copy(), X, config)
-    assert config.learning_rate == eps0 / 2.0 ** 7  # halvings are exact
+    W_next, change, eps = extinf_step(W.copy(), X, config)
+    assert eps == eps0 / 2.0 ** 7  # halvings are exact
+    assert config.learning_rate == eps0  # the config is never written
     assert change <= threshold
-    assert_allclose(W_next, W + config.learning_rate * G @ W,
-                    rtol=0, atol=1e-12)
+    assert_allclose(W_next, W + eps * G @ W, rtol=0, atol=1e-12)
 
 
 def test_annealing_disabled_raises_immediately():
@@ -190,9 +198,28 @@ def test_run_trajectory_matches_stepwise():
     result = run_extinf(X, GradientConfig(max_iterations=10))
     W = np.eye(3)
     for expected in result.record.weight_changes:
-        W, change = extinf_step(W, X, GradientConfig())
+        W, change, _ = extinf_step(W, X, GradientConfig())
         assert change == expected
     assert np.array_equal(W, result.W)
+
+
+def test_run_reusing_annealed_config_repeats_result():
+    # Scaled (non-white) data makes the second step halve the rate; a
+    # second run with the same config must start from the configured
+    # rate again, not from the rate the first run ended with.
+    X = 3.0 * _whitened_mixture(2, 1, 2000, seed=35)
+    config = GradientConfig(learning_rate=0.5, blowup_threshold=10.0,
+                            max_iterations=3)
+    with pytest.warns(UserWarning):
+        first = run_extinf(X, config)
+    with pytest.warns(UserWarning):
+        second = run_extinf(X, config)
+    assert first.learning_rate < 0.5
+    assert config.learning_rate == 0.5
+    assert np.array_equal(first.W, second.W)
+    assert np.array_equal(first.record.weight_changes,
+                          second.record.weight_changes)
+    assert first.learning_rate == second.learning_rate
 
 
 def test_run_does_not_enforce_orthogonality():

@@ -1,6 +1,7 @@
 """Property tests: each full run equals stepping its public step by hand,
-and one orthogonal step keeps ``W`` orthogonal or reports a singular
-update, on any layout.
+one orthogonal step keeps ``W`` orthogonal or reports a singular update,
+on any layout, and a full OgExtInf run commutes with permuting the rows
+of its input.
 
 The layouts straddle the default sign cutoff of 1000 samples, so both the
 stability rule and the kurtosis rule are exercised, and the shapes run
@@ -121,18 +122,24 @@ def test_run_extinf_equals_stepping_extinf_step(layout, max_iterations,
                                 tolerance=tolerance)
     result, failure = _run(lambda: run_extinf(X, run_config, _CUTOFF))
 
-    step_config = GradientConfig(learning_rate=learning_rate)
-    W, changes, expected_failure = _stepwise(
-        lambda W: extinf_step(W, X, step_config, _CUTOFF), np.eye(m),
-        max_iterations, tolerance)
+    def step(state):
+        # Carry the halved rate forward, as the run does.
+        W, eps = state
+        W, change, eps = extinf_step(
+            W, X, GradientConfig(learning_rate=eps), _CUTOFF)
+        return (W, eps), change
+
+    (W, eps), changes, expected_failure = _stepwise(
+        step, (np.eye(m), learning_rate), max_iterations, tolerance)
     assert failure == expected_failure
-    assert run_config.learning_rate == step_config.learning_rate
+    assert run_config.learning_rate == learning_rate
     if failure is not None:
         return
     assert np.array_equal(result.record.weight_changes, changes)
     assert result.record.iterations_used == len(changes)
     assert result.converged == (changes[-1] <= tolerance)
     assert np.array_equal(result.W, W)
+    assert result.learning_rate == eps
     assert np.array_equal(result.signs, select_signs(W @ X, _CUTOFF))
 
 
@@ -150,3 +157,26 @@ def test_update_step_stays_orthogonal_or_reports_singular(m, t, rank, seed):
     except SingularUpdateError:
         return
     assert np.max(np.abs(W @ W.T - np.eye(m))) <= 1e-8
+
+
+@settings(max_examples=50, deadline=None)
+@given(layout=layouts, perm_seed=st.integers(0, 2**32 - 1),
+       max_iterations=st.integers(1, 25))
+def test_run_ogextinf_equivariant_under_row_permutation(layout, perm_seed,
+                                                        max_iterations):
+    # Permuting the input rows by P permutes the solution: W -> P W P^T
+    # (the identity start is permutation invariant), signs permuted alike.
+    X = _whitened(layout)
+    m = X.shape[0]
+    perm = np.random.default_rng(perm_seed).permutation(m)
+    P = np.eye(m)[perm]
+    config = IterationConfig(max_iterations=max_iterations,
+                             sign_rule_sample_cutoff=_CUTOFF)
+    a, failure = _run(lambda: run_ogextinf(X, config))
+    b, permuted_failure = _run(lambda: run_ogextinf(X[perm], config))
+    assert failure == permuted_failure
+    if failure is not None:
+        return
+    assert a.record.iterations_used == b.record.iterations_used
+    assert np.max(np.abs(P @ a.W @ P.T - b.W)) <= 1e-12
+    assert np.array_equal(a.signs[perm], b.signs)
