@@ -45,7 +45,8 @@ class DegenerateDataError(NumericalError):
 
 
 class DegenerateComponentError(NumericalError):
-    """A single component is degenerate (zero sample variance)."""
+    """A single component is degenerate (zero sample variance, or one too
+    small or large for its kurtosis to be computed)."""
 
 
 class SingularUpdateError(NumericalError):

@@ -20,6 +20,7 @@ from .ogextinf import (
     _check_whitened,
     _iterate,
     _phi_cov,
+    _step_buffers,
     apply_unmixing,
     select_signs,
     weight_change,
@@ -79,12 +80,13 @@ def extinf_step(W, whitened, config: GradientConfig,
         raise ValidationError(
             f"W is {W_arr.shape[0]}x{W_arr.shape[0]} but data has "
             f"{X.shape[0]} rows")
+    S, T = _step_buffers(X.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        S = W_arr @ X
+        np.matmul(W_arr, X, out=S)
     if not np.all(np.isfinite(S)):
         raise DivergenceError(
             "unmixed sources overflowed; the weights have diverged")
-    G = np.eye(W_arr.shape[0]) - _phi_cov(S, cutoff)[0]
+    G = np.eye(W_arr.shape[0]) - _phi_cov(S, cutoff, T)[0]
     step_dir = G @ W_arr
     eps = config.learning_rate
     for attempt in range(_MAX_ANNEALS + 1):

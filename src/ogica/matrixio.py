@@ -20,10 +20,10 @@ def format_matrix(values) -> str:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={arr.ndim}")
-    lines = []
-    for row in arr:
-        lines.append(",".join(format(v, ".17g") for v in row))
-    return "\n".join(lines) + "\n"
+    # One template per row, applied to Python floats converted row by row
+    # (a whole-matrix tolist() would hold every value as an object).
+    template = ",".join(["%.17g"] * arr.shape[1])
+    return "\n".join(template % tuple(row.tolist()) for row in arr) + "\n"
 
 
 def write_matrix(path: str | os.PathLike, values) -> None:

@@ -29,7 +29,10 @@ def amari_distance(W, A) -> float:
       + (1/2n) sum_j (sum_i |R_ij| / max_i |R_ij| - 1)
 
     The value lies in ``[0, n - 1]`` and is zero exactly when ``R`` is a
-    scaled permutation (perfect separation up to order and scale).
+    scaled permutation (perfect separation up to order and scale).  It is
+    unchanged by signed permutations of the rows of ``W`` or the columns
+    of ``A`` and by a common scale, but not by unequal row scales of ``W``,
+    which change the column term.
     """
     W_arr = as_square_matrix(W, name="W")
     A_arr = as_square_matrix(A, name="A")

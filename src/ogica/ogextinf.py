@@ -14,6 +14,9 @@ Both solvers get the signs and ``R`` from one kernel, ``_phi_cov``, that
 besides ``S`` fills a single m x t work buffer: first with what the sign
 rule reduces per row (``tanh(S)``, or the squared centred rows), then
 with ``phi(S)``, formed in place before one matrix product with ``S^T``.
+The shared driver ``_iterate`` owns ``S`` and that buffer: one pair per
+thread, made by a run's first step, reused by every later step and
+dropped when the run ends or raises.  A step outside a run makes its own.
 
 There is no learning rate anywhere in this scheme; the iteration either
 sits at a fixed point (``R = I``, the Bussgang condition for independent
@@ -22,6 +25,7 @@ unit-variance sources) or moves by whole multiplicative steps.
 
 from __future__ import annotations
 
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -147,12 +151,15 @@ def _kurtosis_signs(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Kurtosis-rule signs of the rows of S, with T as scratch."""
     t = S.shape[1]
     np.subtract(S, S.mean(axis=1, keepdims=True), out=T)
-    np.multiply(T, T, out=T)
-    m2 = T.mean(axis=1)
-    if np.any(m2 == 0.0):
+    # A variance that is zero, or whose square under- or overflows,
+    # leaves the excess 0/0, x/0 or inf/inf.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.multiply(T, T, out=T)
+        m2 = T.mean(axis=1)
+        excess = np.einsum("ij,ij->i", T, T) / t / (m2 * m2) - 3.0
+    if not np.all(np.isfinite(excess)):
         raise DegenerateComponentError(
-            "component has zero sample variance; kurtosis sign undefined")
-    excess = np.einsum("ij,ij->i", T, T) / t / (m2 * m2) - 3.0
+            "sample variance zero or out of range; kurtosis sign undefined")
     return np.where(excess >= 0.0, 1.0, -1.0)
 
 
@@ -173,14 +180,29 @@ def _phi_gram(S: np.ndarray, T: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return T @ S.T / S.shape[1]
 
 
-def _phi_cov(S: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+def _phi_cov(S: np.ndarray, cutoff: int,
+             T: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked signs and higher-order covariance of a finite S (t >= 2),
-    with one m x t work buffer for the sign rule and ``Phi(S)``."""
-    T = np.empty_like(S)
+    with the m x t work buffer T (default fresh) for signs and ``Phi(S)``."""
+    T = np.empty_like(S) if T is None else T
     signs = _signs(S, T, cutoff)
     if S.shape[1] >= cutoff:  # the kurtosis rule left its scratch in T
         np.tanh(S, out=T)
     return _phi_gram(S, T, signs), signs
+
+
+# While ``_iterate`` runs on a thread, ``_run.pairs`` maps each shape
+# (m, t) to the S and Phi(S) buffers that the run's steps share.
+_run = threading.local()
+
+
+def _step_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The running solve's buffers for ``S`` and ``Phi(S)``, made by its
+    first step; outside a run, a fresh pair."""
+    pairs = getattr(_run, "pairs", {})
+    if shape not in pairs:
+        pairs[shape] = np.empty(shape), np.empty(shape)
+    return pairs[shape]
 
 
 def _component(component) -> np.ndarray:
@@ -309,8 +331,9 @@ def update_step(state: UnmixingState, whitened,
     X = as_data_matrix(whitened, name="whitened")
     W = as_square_matrix(state.W, name="state.W")
     _check_orthogonal(W, X.shape[0], "state.W")
-    S = W @ X
-    R, signs = _phi_cov(S, cutoff)
+    S, T = _step_buffers(X.shape)
+    np.matmul(W, X, out=S)
+    R, signs = _phi_cov(S, cutoff, T)
     W_next = _polar(W.T @ R).T
     return UnmixingState(
         W=W_next,
@@ -365,22 +388,26 @@ def _iterate(step, state, max_iterations: int, tolerance: float):
     changes: list[float] = []
     stopwatch: list[float] = []
     converged = False
-    for i in range(1, max_iterations + 1):
-        tic = time.perf_counter()
-        try:
-            state, change = step(state)
-        except SingularUpdateError as exc:
-            raise SingularUpdateError(
-                f"iteration {i}: {exc}", condition=exc.condition,
-                iteration=i) from exc
-        except DivergenceError as exc:
-            raise DivergenceError(f"iteration {i}: {exc}",
-                                  iteration=i) from exc
-        stopwatch.append(time.perf_counter() - tic)
-        changes.append(change)
-        if change <= tolerance:
-            converged = True
-            break
+    _run.pairs = {}
+    try:
+        for i in range(1, max_iterations + 1):
+            tic = time.perf_counter()
+            try:
+                state, change = step(state)
+            except SingularUpdateError as exc:
+                raise SingularUpdateError(
+                    f"iteration {i}: {exc}", condition=exc.condition,
+                    iteration=i) from exc
+            except DivergenceError as exc:
+                raise DivergenceError(f"iteration {i}: {exc}",
+                                      iteration=i) from exc
+            stopwatch.append(time.perf_counter() - tic)
+            changes.append(change)
+            if change <= tolerance:
+                converged = True
+                break
+    finally:
+        del _run.pairs
     return state, ConvergenceRecord(
         weight_changes=np.asarray(changes),
         elapsed=np.asarray(stopwatch),

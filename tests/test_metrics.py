@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ogica import (
     BenchmarkReport,
@@ -80,6 +82,33 @@ def test_amari_invariances():
 
     # power-of-two global scale commutes exactly with every float op
     assert amari_distance(4.0 * W, A) == base
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3))
+def test_amari_invariant_under_signed_permutations_and_common_scale(
+        n, seed, scale):
+    rng = np.random.default_rng(seed)
+    W, A = rng.standard_normal((2, n, n))
+
+    def signed_permutation():
+        return np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
+
+    base = amari_distance(W, A)
+    moved = amari_distance(scale * signed_permutation() @ W,
+                           A @ signed_permutation())
+    assert abs(moved - base) <= 1e-12 * base
+
+
+def test_amari_changes_under_unequal_row_scales():
+    # Row scales of W that differ rescale the entries of each column of
+    # W A unevenly, so the column term changes: only a common scale is an
+    # invariance.  Here the column term falls from 1 to 0.25.
+    W = np.array([[1.0, 0.5], [0.5, 1.0]])
+    assert amari_distance(W, np.eye(2)) == 0.5
+    assert amari_distance(np.diag([10.0, 1.0]) @ W, np.eye(2)) == \
+        pytest.approx(0.3125, rel=1e-12)
 
 
 def test_amari_vanishes_on_scaled_permutations():

@@ -8,13 +8,20 @@ vectorised and the per-row reductions may only flip a knife-edge tie),
 and ``R`` bit for bit.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ogica import DegenerateComponentError, higher_order_cov, select_signs
+from ogica import (
+    DegenerateComponentError,
+    higher_order_cov,
+    select_sign_kurtosis,
+    select_signs,
+)
 from ogica.ogextinf import _phi_cov
 
 # Relative margin by which a textbook criterion must clear zero before
@@ -23,7 +30,8 @@ _MARGIN = 1e-12
 
 # Zero or at least 1e-6 in magnitude: a row of values near 1e-160 has a
 # positive variance whose square underflows, where excess kurtosis is
-# 0/0 under any formula.
+# 0/0 under any formula; test_variance_out_of_range_raises_under_kurtosis_rule
+# covers such rows.
 finite = st.one_of(st.just(0.0), st.floats(1e-6, 100.0),
                    st.floats(-100.0, -1e-6))
 
@@ -125,6 +133,23 @@ def test_zero_variance_row_raises_under_kurtosis_rule():
         _phi_cov(S, 1000)
     with pytest.raises(DegenerateComponentError):
         select_signs(S, 1000)
+
+
+def test_variance_out_of_range_raises_under_kurtosis_rule():
+    # A positive variance whose square underflows leaves the excess 0/0,
+    # one whose fourth moment overflows leaves it inf/inf: both raise, as
+    # a zero variance does, without a RuntimeWarning, while the same row
+    # at a moderate scale has a sign.
+    row = np.zeros(9)
+    row[-1] = 5e-160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (row, row * 1e260):
+            with pytest.raises(DegenerateComponentError):
+                select_sign_kurtosis(bad)
+            with pytest.raises(DegenerateComponentError):
+                _phi_cov(np.vstack([np.tile([1.0, -1.0, 0.5], 3), bad]), 1)
+    assert select_sign_kurtosis(row * 1e160) == 1.0
 
 
 def test_kurtosis_rule_near_zero_excess():
