@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -276,6 +275,7 @@ def cmd_decompose(args, parser: _Parser) -> int:
     model = fit_whitening(data, args.pca_variance)
     whitened = apply_whitening(model, data)
     whitening_seconds = time.perf_counter() - tic
+    del data  # the solve needs only the whitened copy
     m = model.retained
 
     initial = (random_orthogonal(m, np.random.default_rng(seed))
@@ -385,6 +385,9 @@ def cmd_benchmark(args, parser: _Parser) -> int:
     if args.jobs == 1:
         outcomes = [worker(r) for r in range(args.runs)]
     else:
+        # Imported here, not at module level: the process pool module
+        # adds about 20 ms to the start-up of every command.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(worker, range(args.runs)))
 

@@ -15,22 +15,31 @@ import numpy as np
 from .exceptions import MatrixParseError
 
 
-def format_matrix(values) -> str:
-    """Render a 2-D array in the CSV matrix format (trailing newline)."""
+def _lines(values):
+    """The lines of a 2-D array in the CSV matrix format, each ending in
+    LF, made one row at a time; a matrix with no rows is one empty line."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={arr.ndim}")
+    if not len(arr):
+        return iter(["\n"])
     # One template per row, applied to Python floats converted row by row
     # (a whole-matrix tolist() would hold every value as an object).
-    template = ",".join(["%.17g"] * arr.shape[1])
-    return "\n".join(template % tuple(row.tolist()) for row in arr) + "\n"
+    template = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+    return (template % tuple(row.tolist()) for row in arr)
+
+
+def format_matrix(values) -> str:
+    """Render a 2-D array in the CSV matrix format (trailing newline)."""
+    return "".join(_lines(values))
 
 
 def write_matrix(path: str | os.PathLike, values) -> None:
-    """Write a matrix to ``path`` in the CSV matrix format."""
-    text = format_matrix(values)
+    """Write a matrix to ``path`` in the CSV matrix format, streaming it
+    row by row."""
+    lines = _lines(values)  # checks the shape before the file is opened
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+        fh.writelines(lines)
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
@@ -39,7 +48,7 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
     Raises :class:`MatrixParseError` naming the 1-based row (and column
     where applicable) on ragged rows, non-numeric cells, or an empty file.
     """
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     width = None
     with open(path, "r", encoding="ascii", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -50,16 +59,24 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
                 raise MatrixParseError(
                     f"row {lineno} has {len(cells)} cells, expected {width}",
                     row=lineno)
-            parsed = []
-            for colno, cell in enumerate(cells, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise MatrixParseError(
-                        f"row {lineno}, column {colno}: "
-                        f"not a number: {cell!r}",
-                        row=lineno, column=colno) from None
-            rows.append(parsed)
+            try:
+                rows.append(np.fromiter(map(float, cells), float,
+                                        count=width))
+            except ValueError:
+                _raise_bad_cell(cells, lineno)
+                raise
     if not rows:
         raise MatrixParseError("empty matrix file", row=1)
-    return np.array(rows, dtype=float)
+    return np.stack(rows)
+
+
+def _raise_bad_cell(cells: list[str], lineno: int) -> None:
+    """Raise the parse error naming the first cell of a row that
+    ``float`` rejects."""
+    for colno, cell in enumerate(cells, start=1):
+        try:
+            float(cell)
+        except ValueError:
+            raise MatrixParseError(
+                f"row {lineno}, column {colno}: not a number: {cell!r}",
+                row=lineno, column=colno) from None

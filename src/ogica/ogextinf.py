@@ -49,6 +49,9 @@ _RANK_TOL = 1e-12
 # that a state's W is still orthogonal.
 _WHITENESS_TOL = 1e-6
 _ORTHO_TOL = 1e-6
+# The kurtosis rule refuses a row whose squared variance is below the
+# smallest normal double.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -152,12 +155,14 @@ def _kurtosis_signs(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     t = S.shape[1]
     np.subtract(S, S.mean(axis=1, keepdims=True), out=T)
     # A variance that is zero, or whose square under- or overflows,
-    # leaves the excess 0/0, x/0 or inf/inf.
+    # leaves the excess 0/0, x/0 or inf/inf; a subnormal square leaves a
+    # ratio with too few significant bits to trust its sign.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.multiply(T, T, out=T)
         m2 = T.mean(axis=1)
-        excess = np.einsum("ij,ij->i", T, T) / t / (m2 * m2) - 3.0
-    if not np.all(np.isfinite(excess)):
+        m2_squared = m2 * m2
+        excess = np.einsum("ij,ij->i", T, T) / t / m2_squared - 3.0
+    if not (np.all(m2_squared >= _TINY) and np.all(np.isfinite(excess))):
         raise DegenerateComponentError(
             "sample variance zero or out of range; kurtosis sign undefined")
     return np.where(excess >= 0.0, 1.0, -1.0)

@@ -425,17 +425,29 @@ def test_version_flag(capsys):
     assert "ogica" in capsys.readouterr().out
 
 
-def test_module_entry_point(tmp_path):
-    # The child imports the same ogica as this process, installed or not.
+def _child_python(*args: str) -> subprocess.CompletedProcess:
+    """Run this interpreter in a child that imports the same ogica as
+    this process, installed or not."""
     package_root = str(Path(ogica.__file__).resolve().parents[1])
     path = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "ogica", "simulate", "--n-super", "1",
-         "--n-sub", "1", "--samples", "64", "--seed", "5",
-         "--output-dir", str(tmp_path)],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point(tmp_path):
+    proc = _child_python(
+        "-m", "ogica", "simulate", "--n-super", "1", "--n-sub", "1",
+        "--samples", "64", "--seed", "5", "--output-dir", str(tmp_path))
     assert proc.returncode == 0
     assert (tmp_path / "manifest.json").exists()
     assert "wrote 2x64 dataset" in proc.stdout
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # Only ``benchmark --jobs N`` with N > 1 needs the process pool.
+    proc = _child_python(
+        "-c", "import sys, ogica.cli; "
+              "print('concurrent.futures.process' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,9 @@ def test_roundtrip_many_shapes(tmp_path):
 def test_format_is_plain_csv():
     text = format_matrix(np.array([[1.5, -2.0], [0.25, 100.0]]))
     assert text == "1.5,-2\n0.25,100\n"
+    # Rows with no cells are empty lines; a matrix with no rows is one.
+    assert format_matrix(np.empty((3, 0))) == "\n\n\n"
+    assert format_matrix(np.empty((0, 4))) == "\n"
 
 
 def test_format_rejects_wrong_ndim():
@@ -118,3 +123,53 @@ def test_read_empty_file(tmp_path):
 def test_read_missing_file(tmp_path):
     with pytest.raises(OSError):
         read_matrix(tmp_path / "nope.csv")
+
+
+def test_read_non_numeric_cell_late_in_long_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    values = np.arange(3 * 5000, dtype=float).reshape(3, 5000)
+    write_matrix(path, values)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[4997] = "1.5e"
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MatrixParseError) as excinfo:
+        read_matrix(path)
+    assert (excinfo.value.row, excinfo.value.column) == (3, 4998)
+    assert "'1.5e'" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4), (7, 2), (4, 0), (0, 5),
+                                   (0, 0)])
+def test_written_bytes_equal_formatted_text(tmp_path, shape):
+    values = np.random.default_rng(8).standard_normal(shape)
+    path = tmp_path / "m.csv"
+    write_matrix(path, values)
+    assert path.read_bytes() == format_matrix(values).encode("ascii")
+
+
+def _traced_peak(call) -> int:
+    """Bytes that ``call()`` holds at its peak, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_peak_memory_is_a_few_arrays(tmp_path):
+    # Rows go straight into float64 arrays: no Python float per cell.
+    values = np.random.default_rng(9).standard_normal((20, 5000))
+    path = tmp_path / "m.csv"
+    write_matrix(path, values)
+    assert _traced_peak(lambda: read_matrix(path)) <= 3 * values.nbytes
+
+
+def test_write_peak_memory_is_below_one_array(tmp_path):
+    # Rows are streamed to the file: the whole text is never held.
+    values = np.random.default_rng(10).standard_normal((20, 5000))
+    path = tmp_path / "m.csv"
+    assert _traced_peak(lambda: write_matrix(path, values)) <= values.nbytes

@@ -152,6 +152,25 @@ def test_variance_out_of_range_raises_under_kurtosis_rule():
     assert select_sign_kurtosis(row * 1e160) == 1.0
 
 
+def test_kurtosis_sign_is_right_or_refused_at_every_tiny_scale():
+    # Scaling a row leaves its excess kurtosis unchanged.  Where the
+    # squared variance is subnormal the computed excess keeps few
+    # significant bits (at 10**-80.55 the ratio comes out positive), so
+    # there the rule must refuse, never return a wrong sign.
+    row = np.random.default_rng(0).uniform(-1.0, 1.0, 2000)
+    assert select_sign_kurtosis(row) == -1.0
+    refused = 0
+    for k in range(7600, 8201):
+        scaled = row * 10.0 ** (-k / 100)
+        try:
+            sign = select_sign_kurtosis(scaled)
+        except DegenerateComponentError:
+            refused += 1
+            continue
+        assert sign == -1.0, f"wrong sign at 10**-{k / 100}"
+    assert 0 < refused < 601
+
+
 def test_kurtosis_rule_near_zero_excess():
     # Symmetric three-point rows {-1, 0, 1} with k nonzero values out of
     # t have excess kurtosis t/k - 3 exactly: +0.012 and -0.012 here.
