@@ -80,10 +80,11 @@ def _checked(convert, accept, rule: str):
 
 def _algorithm_list(text: str) -> tuple[str, ...]:
     algorithms = tuple(a.strip() for a in text.split(",") if a.strip())
-    if not algorithms or not set(algorithms) <= set(_ALGORITHMS):
+    if (not algorithms or not set(algorithms) <= set(_ALGORITHMS)
+            or len(set(algorithms)) < len(algorithms)):
         raise argparse.ArgumentTypeError(
-            f"must name one or more of {', '.join(_ALGORITHMS)}, "
-            f"got {text!r}")
+            f"must name one or more of {', '.join(_ALGORITHMS)}, each at "
+            f"most once, got {text!r}")
     return algorithms
 
 
@@ -92,6 +93,23 @@ _INDEX = _checked(int, lambda v: v >= 0, ">= 0")
 _POSITIVE = _checked(float, lambda v: v > 0, "positive")
 _NONNEGATIVE = _checked(float, lambda v: v >= 0, ">= 0")
 _FRACTION = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+
+
+def _add_solver_flags(parser: _Parser, cap: int) -> None:
+    """The solver flags of ``decompose`` and ``benchmark``; only the
+    default iteration cap differs between the two."""
+    parser.add_argument("--tolerance", type=_POSITIVE, default=1e-6,
+                        help="weight-change stopping threshold (default 1e-6)")
+    parser.add_argument("--max-iterations", type=_COUNT, default=cap,
+                        help="iteration cap (default %(default)s)")
+    parser.add_argument("--sign-cutoff", type=_COUNT,
+                        default=IterationConfig.sign_rule_sample_cutoff,
+                        help="sample count at which sign selection "
+                             "switches from the stability rule to "
+                             "kurtosis (default %(default)s)")
+    parser.add_argument("--learning-rate", type=_NONNEGATIVE, default=1e-3,
+                        help="extinf step size (default 1e-3; ignored by "
+                             "ogextinf)")
 
 
 def build_parser() -> _Parser:
@@ -131,21 +149,11 @@ def build_parser() -> _Parser:
     dec.add_argument("-o", "--output", default="result.json",
                      help="result JSON path (default result.json)")
     dec.add_argument("--algorithm", choices=_ALGORITHMS, default="ogextinf")
-    dec.add_argument("--tolerance", type=_POSITIVE, default=1e-6,
-                     help="weight-change stopping threshold (default 1e-6)")
-    dec.add_argument("--max-iterations", type=_COUNT, default=3000,
-                     help="iteration cap (default 3000)")
+    _add_solver_flags(dec, cap=3000)
     dec.add_argument("--pca-variance", type=_FRACTION, default=0.01,
                      help="keep components explaining at least this "
                           "fraction of variance; 0 disables reduction "
                           "(default 0.01)")
-    dec.add_argument("--sign-cutoff", type=_COUNT, default=1000,
-                     help="sample count at which sign selection switches "
-                          "from the stability rule to kurtosis "
-                          "(default 1000)")
-    dec.add_argument("--learning-rate", type=_NONNEGATIVE, default=1e-3,
-                     help="extinf step size (default 1e-3; ignored by "
-                          "ogextinf)")
     dec.add_argument("--init", choices=("identity", "random"),
                      default="identity",
                      help="initial unmixing matrix (default identity)")
@@ -161,16 +169,11 @@ def build_parser() -> _Parser:
     ben.add_argument("--runs", type=_COUNT, default=100,
                      help="number of replicated datasets (default 100)")
     ben.add_argument("--algorithms", type=_algorithm_list,
-                     default="ogextinf,extinf",
-                     help="comma-separated subset of: ogextinf, extinf")
+                     default=",".join(_ALGORITHMS),
+                     help="comma-separated subset of: %(default)s")
     ben.add_argument("--seed", type=int, default=None,
                      help="base seed (default: $OGICA_SEED or 0)")
-    ben.add_argument("--tolerance", type=_POSITIVE, default=1e-6)
-    ben.add_argument("--max-iterations", type=_COUNT, default=1000,
-                     help="iteration cap per run (default 1000)")
-    ben.add_argument("--sign-cutoff", type=_COUNT, default=1000)
-    ben.add_argument("--learning-rate", type=_NONNEGATIVE, default=1e-3,
-                     help="extinf step size (default 1e-3)")
+    _add_solver_flags(ben, cap=1000)
     ben.add_argument("--jobs", type=_COUNT, default=1,
                      help="run this many datasets in parallel (default 1)")
     ben.add_argument("-o", "--output", default="benchmark.json",
@@ -341,34 +344,26 @@ def _benchmark_run(spec: ExperimentSpec, run_index: int, *,
     records = []
     curves = {}
     for algo in algorithms:
+        # A failed run's record; a finished run sets its outcome.
+        record = {"run_index": run_index, "algorithm": algo,
+                  "iterations_used": 0, "converged": False,
+                  "final_weight_change": None, "amari_distance": None,
+                  "wall_time": None, "error": None}
+        curves[algo] = []
         try:
             result = solve(algo, whitened)
-            amari = amari_distance(
-                composed_unmixing(result.W, model), dataset.mixing)
-            records.append({
-                "run_index": run_index,
-                "algorithm": algo,
-                "iterations_used": result.record.iterations_used,
-                "converged": result.record.converged,
-                "final_weight_change":
-                    float(result.record.weight_changes[-1]),
-                "amari_distance": amari,
-                "wall_time": result.elapsed_total,
-                "error": None,
-            })
-            curves[algo] = result.record.weight_changes.tolist()
         except NumericalError as exc:
-            records.append({
-                "run_index": run_index,
-                "algorithm": algo,
-                "iterations_used": getattr(exc, "iteration", None) or 0,
-                "converged": False,
-                "final_weight_change": None,
-                "amari_distance": None,
-                "wall_time": None,
-                "error": str(exc),
-            })
-            curves[algo] = []
+            record.update(iterations_used=exc.iteration or 0, error=str(exc))
+        else:
+            record.update(
+                iterations_used=result.record.iterations_used,
+                converged=result.record.converged,
+                final_weight_change=float(result.record.weight_changes[-1]),
+                amari_distance=amari_distance(
+                    composed_unmixing(result.W, model), dataset.mixing),
+                wall_time=result.elapsed_total)
+            curves[algo] = result.record.weight_changes.tolist()
+        records.append(record)
     return {"records": records, "curves": curves,
             "condition_retries": dataset.condition_retries}
 

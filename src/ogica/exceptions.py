@@ -37,7 +37,10 @@ class MatrixParseError(OgicaError, ValueError):
 
 
 class NumericalError(OgicaError, ArithmeticError):
-    """Base class for failures of the numerics themselves."""
+    """Base class for failures of the numerics themselves; ``iteration``
+    is the 1-based iteration of the run that raised it, if any."""
+
+    iteration: int | None = None
 
 
 class DegenerateDataError(NumericalError):
@@ -52,9 +55,7 @@ class DegenerateComponentError(NumericalError):
 class SingularUpdateError(NumericalError):
     """The higher-order covariance is singular or too ill-conditioned.
 
-    ``condition`` carries the offending condition-number estimate and
-    ``iteration`` the 1-based iteration at which the update failed (``None``
-    when raised outside an iteration loop).
+    ``condition`` carries the offending condition-number estimate.
     """
 
     def __init__(self, message: str, *, condition: float | None = None,
@@ -65,11 +66,7 @@ class SingularUpdateError(NumericalError):
 
 
 class DivergenceError(NumericalError):
-    """A gradient run produced non-finite weights and annealing ran out.
-
-    ``iteration`` carries the 1-based iteration of the failed step when the
-    error surfaces from a full run.
-    """
+    """A gradient run produced non-finite weights and annealing ran out."""
 
     def __init__(self, message: str, *, iteration: int | None = None) -> None:
         super().__init__(message)

@@ -16,7 +16,9 @@ import numpy as np
 
 from .exceptions import DivergenceError, ParameterError, ValidationError
 from .ogextinf import (
+    _SIGN_CUTOFF,
     ICAResult,
+    _check_stopping_rule,
     _check_whitened,
     _iterate,
     _phi_cov,
@@ -52,12 +54,7 @@ class GradientConfig:
         if self.learning_rate < 0:
             raise ParameterError(
                 f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.max_iterations < 1:
-            raise ParameterError(
-                f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.tolerance > 0:
-            raise ParameterError(
-                f"tolerance must be positive, got {self.tolerance}")
+        _check_stopping_rule(self.max_iterations, self.tolerance)
         if not self.blowup_threshold > 0:
             raise ParameterError(
                 f"blowup_threshold must be positive, got "
@@ -65,7 +62,7 @@ class GradientConfig:
 
 
 def extinf_step(W, whitened, config: GradientConfig,
-                cutoff: int = 1000) -> tuple[np.ndarray, float, float]:
+                cutoff: int = _SIGN_CUTOFF) -> tuple[np.ndarray, float, float]:
     """One natural-gradient step.
 
     Computes ``S = W X``, selects signs and forms ``(1/t) Phi(S) S^T``
@@ -106,7 +103,7 @@ def extinf_step(W, whitened, config: GradientConfig,
 
 
 def run_extinf(whitened, config: GradientConfig | None = None,
-               cutoff: int = 1000) -> ICAResult:
+               cutoff: int = _SIGN_CUTOFF) -> ICAResult:
     """Iterate :func:`extinf_step` under the shared stopping rule.
 
     Stops when the Frobenius weight change drops to ``tolerance`` or

@@ -16,13 +16,11 @@ from .exceptions import MatrixParseError
 
 
 def _lines(values):
-    """The lines of a 2-D array in the CSV matrix format, each ending in
-    LF, made one row at a time; a matrix with no rows is one empty line."""
+    """The lines of a non-empty 2-D array in the CSV matrix format (which
+    has no empty matrix), each ending in LF, made one row at a time."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got ndim={arr.ndim}")
-    if not len(arr):
-        return iter(["\n"])
+    if arr.ndim != 2 or not arr.size:
+        raise ValueError(f"need a non-empty 2-D array, got shape {arr.shape}")
     # One template per row, applied to Python floats converted row by row
     # (a whole-matrix tolist() would hold every value as an object).
     template = ",".join(["%.17g"] * arr.shape[1]) + "\n"

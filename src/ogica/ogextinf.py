@@ -34,7 +34,7 @@ import numpy as np
 
 from .exceptions import (
     DegenerateComponentError,
-    DivergenceError,
+    NumericalError,
     ParameterError,
     SingularUpdateError,
     ValidationError,
@@ -52,6 +52,17 @@ _ORTHO_TOL = 1e-6
 # The kurtosis rule refuses a row whose squared variance is below the
 # smallest normal double.
 _TINY = np.finfo(float).tiny
+# Default sample count at which every sign rule switches to kurtosis.
+_SIGN_CUTOFF = 1000
+
+
+def _check_stopping_rule(max_iterations: int, tolerance: float) -> None:
+    """Refuse a stopping rule with no iterations or no positive tolerance."""
+    if max_iterations < 1:
+        raise ParameterError(
+            f"max_iterations must be >= 1, got {max_iterations}")
+    if not tolerance > 0:
+        raise ParameterError(f"tolerance must be positive, got {tolerance}")
 
 
 @dataclass(frozen=True)
@@ -66,16 +77,11 @@ class IterationConfig:
 
     max_iterations: int = 1000
     tolerance: float = 1e-6
-    sign_rule_sample_cutoff: int = 1000
+    sign_rule_sample_cutoff: int = _SIGN_CUTOFF
     initial_W: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ParameterError(
-                f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.tolerance > 0:
-            raise ParameterError(
-                f"tolerance must be positive, got {self.tolerance}")
+        _check_stopping_rule(self.max_iterations, self.tolerance)
         if self.sign_rule_sample_cutoff < 1:
             raise ParameterError(
                 "sign_rule_sample_cutoff must be >= 1, got "
@@ -240,7 +246,7 @@ def select_sign_kurtosis(component) -> float:
     return float(_kurtosis_signs(S, np.empty_like(S))[0])
 
 
-def select_signs(sources, cutoff: int = 1000) -> np.ndarray:
+def select_signs(sources, cutoff: int = _SIGN_CUTOFF) -> np.ndarray:
     """Per-row nonlinearity signs for a source matrix.
 
     Uses the rule of :func:`select_sign_stability` when the matrix has
@@ -325,7 +331,7 @@ def weight_change(W_prev, W_next) -> float:
 
 
 def update_step(state: UnmixingState, whitened,
-                cutoff: int = 1000) -> UnmixingState:
+                cutoff: int = _SIGN_CUTOFF) -> UnmixingState:
     """Advance the iteration by one full pass over the data.
 
     Computes ``S = W X``, re-selects the per-component signs, forms the
@@ -399,13 +405,10 @@ def _iterate(step, state, max_iterations: int, tolerance: float):
             tic = time.perf_counter()
             try:
                 state, change = step(state)
-            except SingularUpdateError as exc:
-                raise SingularUpdateError(
-                    f"iteration {i}: {exc}", condition=exc.condition,
-                    iteration=i) from exc
-            except DivergenceError as exc:
-                raise DivergenceError(f"iteration {i}: {exc}",
-                                      iteration=i) from exc
+            except NumericalError as exc:
+                exc.iteration = i
+                exc.args = (f"iteration {i}: {exc}",)
+                raise
             stopwatch.append(time.perf_counter() - tic)
             changes.append(change)
             if change <= tolerance:

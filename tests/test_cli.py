@@ -14,7 +14,7 @@ from ogica import (
     make_dataset,
     read_matrix,
 )
-from ogica.cli import load_report, main
+from ogica.cli import _ALGORITHMS, build_parser, load_report, main
 
 
 @pytest.fixture(autouse=True)
@@ -403,10 +403,30 @@ def test_benchmark_flag_validation(tmp_path):
     for flags in (["--runs", "0"], ["--jobs", "0"],
                   ["--tolerance", "-1"], ["--algorithms", ""],
                   ["--max-iterations", "0"], ["--sign-cutoff", "0"],
-                  ["--learning-rate", "-1"]):
+                  ["--learning-rate", "-1"],
+                  ["--algorithms", "ogextinf,ogextinf"]):
         with pytest.raises(SystemExit) as excinfo:
             main(["benchmark", "-o", str(tmp_path / "r.json")] + flags)
         assert excinfo.value.code == 1, flags
+
+
+def _flag_help(capsys, command: str, flag: str) -> str:
+    """The ``-h`` text of one flag of ``command``, whitespace collapsed."""
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    text = capsys.readouterr().out
+    block = text[text.index(f"\n  {flag}"):].split("\n  -")[1]
+    return " ".join(block.split())
+
+
+def test_solver_flags_are_shared(capsys):
+    for flag in ("--tolerance", "--sign-cutoff", "--learning-rate"):
+        assert (_flag_help(capsys, "decompose", flag)
+                == _flag_help(capsys, "benchmark", flag)), flag
+    assert "(default 1000)" in _flag_help(capsys, "benchmark",
+                                          "--max-iterations")
+    args = build_parser().parse_args(["benchmark"])
+    assert args.algorithms == _ALGORITHMS
 
 
 # ------------------------------------------------------------- plumbing

@@ -6,9 +6,11 @@ These tests check that the pair never outlives its run (also when the run
 raises), that a step reuses the same memory throughout one run, that the
 result bits do not depend on what ran before or on what the buffers held,
 that steps called outside a run return nothing that aliases, and that
-two threads keep separate buffers.
+two threads keep separate buffers.  They also check that a numerical
+failure in any step of a run leaves it with the step's iteration.
 """
 
+import json
 import sys
 import threading
 
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from ogica import (
+    DegenerateComponentError,
     DivergenceError,
     GradientConfig,
     IterationConfig,
@@ -30,6 +33,7 @@ from ogica import (
     update_step,
 )
 from ogica import extinf, ogextinf
+from ogica.cli import main
 
 # Enough iterations for the sign rule and W to move; far fewer than a
 # full solve, to keep the suite fast.
@@ -100,6 +104,46 @@ def test_buffers_dropped_when_a_run_raises(monkeypatch, p1):
     with pytest.raises(DivergenceError):
         run_extinf(p1, GradientConfig(learning_rate=1e12, anneal=False))
     assert _no_buffers()
+
+
+def _fail_third_step(monkeypatch, module):
+    """Make the third step of ``module``'s runs raise
+    DegenerateComponentError from the phi-covariance kernel."""
+    kernel = module._phi_cov
+    calls = []
+
+    def failing(S, cutoff, T=None):
+        calls.append(S.shape)
+        if len(calls) == 3:
+            raise DegenerateComponentError("forced")
+        return kernel(S, cutoff, T)
+
+    monkeypatch.setattr(module, "_phi_cov", failing)
+
+
+@pytest.mark.parametrize("module, solve, config", [
+    (ogextinf, run_ogextinf, _OG), (extinf, run_extinf, _EXT)])
+def test_failure_in_a_step_carries_its_iteration(monkeypatch, p1, module,
+                                                 solve, config):
+    _fail_third_step(monkeypatch, module)
+    with pytest.raises(DegenerateComponentError) as excinfo:
+        solve(p1, config)
+    assert excinfo.value.iteration == 3
+    assert str(excinfo.value) == "iteration 3: forced"
+    assert _no_buffers()
+
+
+def test_benchmark_records_the_iteration_of_a_failure(monkeypatch,
+                                                      tmp_path):
+    for module in (ogextinf, extinf):
+        _fail_third_step(monkeypatch, module)
+    report = tmp_path / "report.json"
+    assert main(["benchmark", "--runs", "1", "--seed", "3",
+                 "-o", str(report)]) == 0
+    records = json.loads(report.read_text())["records"]
+    assert [(r["algorithm"], r["iterations_used"], r["error"])
+            for r in records] == [("ogextinf", 3, "iteration 3: forced"),
+                                  ("extinf", 3, "iteration 3: forced")]
 
 
 def test_results_do_not_depend_on_earlier_runs_or_stale_buffers(
