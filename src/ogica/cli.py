@@ -37,7 +37,7 @@ from .metrics import (
     composed_unmixing,
 )
 from .ogextinf import IterationConfig, random_orthogonal, run_ogextinf
-from .preprocess import apply_whitening, fit_whitening
+from .preprocess import _whiten_in_place, apply_whitening, fit_whitening
 from .simulate import (
     GENERATOR_NAME,
     ExperimentSpec,
@@ -275,8 +275,7 @@ def cmd_decompose(args, parser: _Parser) -> int:
     n, t = data.shape
 
     tic = time.perf_counter()
-    model = fit_whitening(data, args.pca_variance)
-    whitened = apply_whitening(model, data)
+    model, whitened = _whiten_in_place(data, args.pca_variance)
     whitening_seconds = time.perf_counter() - tic
     del data  # the solve needs only the whitened copy
     m = model.retained

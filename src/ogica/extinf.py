@@ -51,7 +51,7 @@ class GradientConfig:
     blowup_threshold: float = 1e3
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ParameterError(
                 f"learning_rate must be >= 0, got {self.learning_rate}")
         _check_stopping_rule(self.max_iterations, self.tolerance)

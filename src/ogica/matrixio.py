@@ -46,26 +46,30 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
     Raises :class:`MatrixParseError` naming the 1-based row (and column
     where applicable) on ragged rows, non-numeric cells, or an empty file.
     """
-    rows: list[np.ndarray] = []
-    width = None
     with open(path, "r", encoding="ascii", newline="") as fh:
+        # A first pass counts the rows, so that each line is parsed
+        # straight into its row of the one result matrix.
+        n_rows = sum(1 for _ in fh)
+        if not n_rows:
+            raise MatrixParseError("empty matrix file", row=1)
+        fh.seek(0)
+        width = None
         for lineno, line in enumerate(fh, start=1):
             cells = line.rstrip("\r\n").split(",")
             if width is None:
                 width = len(cells)
+                out = np.empty((n_rows, width))
             elif len(cells) != width:
                 raise MatrixParseError(
                     f"row {lineno} has {len(cells)} cells, expected {width}",
                     row=lineno)
             try:
-                rows.append(np.fromiter(map(float, cells), float,
-                                        count=width))
+                out[lineno - 1] = np.fromiter(map(float, cells), float,
+                                              count=width)
             except ValueError:
                 _raise_bad_cell(cells, lineno)
                 raise
-    if not rows:
-        raise MatrixParseError("empty matrix file", row=1)
-    return np.stack(rows)
+    return out
 
 
 def _raise_bad_cell(cells: list[str], lineno: int) -> None:

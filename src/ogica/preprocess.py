@@ -86,14 +86,36 @@ def fit_whitening(data, variance_threshold: float = 0.0) -> WhiteningModel:
     if not 0.0 <= variance_threshold < 1.0:
         raise ParameterError(
             f"variance_threshold must be in [0, 1), got {variance_threshold}")
-    arr = as_data_matrix(data)
-    n, t = arr.shape
+    centered, mean = center(data)
+    return _fit_centered(centered, mean, variance_threshold)
+
+
+def _whiten_in_place(data: np.ndarray, variance_threshold: float
+                     ) -> tuple[WhiteningModel, np.ndarray]:
+    """Fit a whitening model to ``data`` and return it with the whitened
+    data, bit for bit what :func:`fit_whitening` then
+    :func:`apply_whitening` give, without their two centred copies.
+
+    ``data`` must be a float64 matrix that passed
+    :func:`~ogica.validation.as_data_matrix` and that the caller owns:
+    it is centred in place and ends up holding the centred data.
+    ``variance_threshold`` is not checked.
+    """
+    mean = data.mean(axis=1)
+    data -= mean[:, None]
+    model = _fit_centered(data, mean, variance_threshold)
+    return model, model.whitener @ data
+
+
+def _fit_centered(centered: np.ndarray, mean: np.ndarray,
+                  variance_threshold: float) -> WhiteningModel:
+    """The whitening model of data already centred on ``mean``."""
+    n, t = centered.shape
     if t <= n:
         warnings.warn(
             f"whitening {n} channels from only {t} samples; the sample "
             "covariance is rank deficient or barely determined",
-            stacklevel=2)
-    centered, mean = center(arr)
+            stacklevel=3)
     cov = centered @ centered.T / t
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]

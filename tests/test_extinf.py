@@ -49,6 +49,13 @@ def test_config_defaults_and_validation():
         config.learning_rate = 1.0
 
 
+def test_config_refuses_nan_learning_rate():
+    # NaN fails every comparison, so a "< 0" check would let it through
+    # to a run that diverges at its first step.
+    with pytest.raises(ParameterError, match="learning_rate"):
+        GradientConfig(learning_rate=float("nan"))
+
+
 def test_step_with_zero_rate_is_identity():
     X = _whitened_mixture(2, 1, 2000, seed=31)
     W = np.eye(3) + 0.01

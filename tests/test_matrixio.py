@@ -94,6 +94,29 @@ def test_read_crlf_matches_lf(tmp_path):
     assert _same_bits(read_matrix(crlf), read_matrix(lf))
 
 
+def test_read_last_line_without_lf_is_a_row(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n3,4\n5,6")
+    assert np.array_equal(read_matrix(path),
+                          np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    path.write_text("1,2\n3,4\n5")
+    with pytest.raises(MatrixParseError) as excinfo:
+        read_matrix(path)
+    assert excinfo.value.row == 3
+
+
+def test_read_blank_middle_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n\n3,4\n")
+    with pytest.raises(MatrixParseError) as excinfo:
+        read_matrix(path)
+    assert excinfo.value.row == 2
+    path.write_text("1\n\n3\n")  # one column: the blank cell is refused
+    with pytest.raises(MatrixParseError) as excinfo:
+        read_matrix(path)
+    assert (excinfo.value.row, excinfo.value.column) == (2, 1)
+
+
 def test_read_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     # a blank trailing line is a ragged row too
@@ -174,6 +197,15 @@ def test_read_peak_memory_is_a_few_arrays(tmp_path):
     path = tmp_path / "m.csv"
     write_matrix(path, values)
     assert _traced_peak(lambda: read_matrix(path)) <= 3 * values.nbytes
+
+
+def test_read_peak_memory_fills_one_matrix(tmp_path):
+    # Each line is parsed into its row of one preallocated matrix, so the
+    # read holds that matrix and one line's worth of parsing at a time.
+    values = np.random.default_rng(11).standard_normal((50, 10000))
+    path = tmp_path / "m.csv"
+    write_matrix(path, values)
+    assert _traced_peak(lambda: read_matrix(path)) <= 1.75 * values.nbytes
 
 
 def test_write_peak_memory_is_below_one_array(tmp_path):

@@ -1,5 +1,11 @@
+import dataclasses
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ogica import (
@@ -11,6 +17,7 @@ from ogica import (
     center,
     fit_whitening,
 )
+from ogica.preprocess import _whiten_in_place
 
 
 def test_center_constant_rows():
@@ -233,3 +240,59 @@ def test_apply_whitening_dimension_mismatch():
     model = fit_whitening(_DIAG41, 0.0)
     with pytest.raises(ValidationError):
         apply_whitening(model, np.ones((3, 4)))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _warnings_of(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call()
+    return out, [w for w in caught if issubclass(w.category, UserWarning)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(n=st.integers(1, 6), t=st.integers(2, 60),
+       seed=st.integers(0, 2**32 - 1),
+       offset=st.floats(-1e3, 1e3),
+       threshold=st.just(0.0) | st.floats(1e-6, 0.5),
+       duplicate=st.booleans())
+def test_whiten_in_place_equals_fit_then_apply(n, t, seed, offset, threshold,
+                                               duplicate):
+    rng = np.random.default_rng(seed)
+    data = (rng.standard_normal((n, n)) @ rng.standard_normal((n, t))
+            + offset * rng.standard_normal((n, 1)))
+    if duplicate and n > 1:
+        data[-1] = data[0]  # a rank-deficient covariance
+    model, expected_warnings = _warnings_of(
+        lambda: fit_whitening(data, threshold))
+    expected = apply_whitening(model, data)
+    owned = data.copy()
+    (got_model, got), got_warnings = _warnings_of(
+        lambda: _whiten_in_place(owned, threshold))
+    for field in dataclasses.fields(WhiteningModel):
+        assert _same_bits(getattr(got_model, field.name),
+                          getattr(model, field.name)), field.name
+    assert _same_bits(got, expected)
+    # the caller's matrix is left holding the centred data
+    assert _same_bits(owned, center(data)[0])
+    assert len(got_warnings) == len(expected_warnings) == (1 if t <= n else 0)
+
+
+def test_whiten_in_place_peak_memory_is_one_array():
+    # fit_whitening then apply_whitening hold two centred copies and the
+    # result (about 2x the input's bytes); centring in place leaves only
+    # the result.
+    data = np.random.default_rng(13).standard_normal((50, 10000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _whiten_in_place(data, 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * data.nbytes
