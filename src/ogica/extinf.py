@@ -18,10 +18,11 @@ from .exceptions import DivergenceError, ParameterError, ValidationError
 from .ogextinf import (
     _SIGN_CUTOFF,
     ICAResult,
+    _check_cutoff,
     _check_stopping_rule,
     _check_whitened,
     _iterate,
-    _phi_cov,
+    _phi_step,
     _step_buffers,
     apply_unmixing,
     select_signs,
@@ -71,6 +72,7 @@ def extinf_step(W, whitened, config: GradientConfig,
     difference (which carries the eps factor) and the eps the step used
     after any halvings.
     """
+    _check_cutoff(cutoff)
     W_arr = as_square_matrix(W, name="W")
     X = as_data_matrix(whitened, name="whitened")
     if W_arr.shape[0] != X.shape[0]:
@@ -83,7 +85,7 @@ def extinf_step(W, whitened, config: GradientConfig,
     if not np.all(np.isfinite(S)):
         raise DivergenceError(
             "unmixed sources overflowed; the weights have diverged")
-    G = np.eye(W_arr.shape[0]) - _phi_cov(S, cutoff, T)[0]
+    G = np.eye(W_arr.shape[0]) - _phi_step(W_arr, X, S, T, cutoff)[0]
     step_dir = G @ W_arr
     eps = config.learning_rate
     for attempt in range(_MAX_ANNEALS + 1):
@@ -112,6 +114,7 @@ def run_extinf(whitened, config: GradientConfig | None = None,
     input only triggers a warning here, never a rejection.
     """
     cfg = config if config is not None else GradientConfig()
+    _check_cutoff(cutoff)
     X = as_data_matrix(whitened, name="whitened")
     _check_whitened(X, strict=False)
 

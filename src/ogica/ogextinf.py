@@ -10,13 +10,16 @@ step, with no inverse or linear solve.  The nonlinearity
 and sub-Gaussian (``k = -1``) shape per component, with ``k`` re-estimated
 from the data on every iteration.
 
-Both solvers get the signs and ``R`` from one kernel, ``_phi_cov``, that
-besides ``S`` fills a single m x t work buffer: first with what the sign
-rule reduces per row (``tanh(S)``, or the squared centred rows), then
-with ``phi(S)``, formed in place before one matrix product with ``S^T``.
-The shared driver ``_iterate`` owns ``S`` and that buffer: one pair per
-thread, made by a run's first step, reused by every later step and
-dropped when the run ends or raises.  A step outside a run makes its own.
+Both solvers get the signs and ``R`` from one kernel, ``_phi_step``.  It
+walks ``S`` in blocks of rows that fit a scratch of about 1 MiB: in each
+block the sign rule reduces every row (through ``tanh(S)``, or the
+squared centred rows) in the scratch, the scratch then holds
+``k tanh(S)``, and the block of ``S`` is overwritten with ``phi(S)``.
+Since ``S = W X``, ``R = Phi(S) S^T / t = (Phi(S) X^T) W^T / t`` needs
+no copy of ``S``, so a step holds ``X``, ``S`` and one block.  The shared
+driver ``_iterate`` owns ``S`` and the scratch: one pair per thread, made
+by a run's first step, reused by every later step and dropped when the
+run ends or raises.  A step outside a run makes its own.
 
 There is no learning rate anywhere in this scheme; the iteration either
 sits at a fixed point (``R = I``, the Bussgang condition for independent
@@ -54,15 +57,29 @@ _ORTHO_TOL = 1e-6
 _TINY = np.finfo(float).tiny
 # Default sample count at which every sign rule switches to kurtosis.
 _SIGN_CUTOFF = 1000
+# Size of the scratch in which the kernels walk a source matrix, in rows
+# of at most this many bytes (and at least one row).  Smaller blocks pay
+# numpy's per-call overhead too often: at 20 x 5000, which stays one block
+# here, 128 KiB blocks add about 20% to the kernel time and 64 KiB ones
+# (one row) about 85%.
+_BLOCK_BYTES = 1 << 20
 
 
 def _check_stopping_rule(max_iterations: int, tolerance: float) -> None:
-    """Refuse a stopping rule with no iterations or no positive tolerance."""
-    if max_iterations < 1:
+    """Refuse a stopping rule with no iterations or no positive tolerance
+    (NaN included)."""
+    if not max_iterations >= 1:
         raise ParameterError(
             f"max_iterations must be >= 1, got {max_iterations}")
     if not tolerance > 0:
         raise ParameterError(f"tolerance must be positive, got {tolerance}")
+
+
+def _check_cutoff(cutoff: int) -> None:
+    """Refuse a sign-rule cutoff below one sample (NaN included)."""
+    if not cutoff >= 1:
+        raise ParameterError(
+            f"sign_rule_sample_cutoff must be >= 1, got {cutoff}")
 
 
 @dataclass(frozen=True)
@@ -82,10 +99,7 @@ class IterationConfig:
 
     def __post_init__(self) -> None:
         _check_stopping_rule(self.max_iterations, self.tolerance)
-        if self.sign_rule_sample_cutoff < 1:
-            raise ParameterError(
-                "sign_rule_sample_cutoff must be >= 1, got "
-                f"{self.sign_rule_sample_cutoff}")
+        _check_cutoff(self.sign_rule_sample_cutoff)
 
 
 @dataclass(frozen=True)
@@ -180,39 +194,77 @@ def _signs(S: np.ndarray, T: np.ndarray, cutoff: int) -> np.ndarray:
     return rule(S, T)
 
 
-def _phi_gram(S: np.ndarray, T: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """``(1/t) Phi(S) S^T``, forming ``Phi(S)`` in place in ``T = tanh(S)``.
+def _scratch(shape: tuple[int, int]) -> np.ndarray:
+    """A scratch for walking an m x t matrix in blocks of rows: as many
+    rows as fit ``_BLOCK_BYTES``, at least one and at most m."""
+    m, t = shape
+    return np.empty((min(m, max(1, _BLOCK_BYTES // (8 * t))), t))
 
-    Bit for bit ``(S + k tanh(S)) S^T / t``: scaling by +-1 is exact,
-    addition commutes, and the matrix product gets the same operands.
+
+def _row_blocks(S: np.ndarray, T: np.ndarray):
+    """Walk S in blocks of as many rows as the scratch T has, yielding
+    each block's row slice, its rows of S and as many rows of T."""
+    b = T.shape[0]
+    for i in range(0, S.shape[0], b):
+        Sb = S[i:i + b]
+        yield slice(i, i + b), Sb, T[:Sb.shape[0]]
+
+
+def _phi_rows(S: np.ndarray, T: np.ndarray, cutoff: int,
+              signs: np.ndarray | None = None) -> np.ndarray:
+    """Overwrite the finite S with ``Phi(S)``, one block of the scratch T
+    at a time, and return the signs: those given, else the rule's.
+
+    Bit for bit ``S + k tanh(S)``: scaling by +-1 is exact and addition
+    commutes.  The rule's signs are those of :func:`select_signs`, since
+    every reduction is per row.
     """
-    T *= signs[:, None]
-    T += S
-    return T @ S.T / S.shape[1]
+    ruled = signs is None
+    signs = np.empty(S.shape[0]) if ruled else signs
+    tanh_left = ruled and S.shape[1] < cutoff  # the stability rule's scratch
+    for rows, Sb, Tb in _row_blocks(S, T):
+        if ruled:
+            signs[rows] = _signs(Sb, Tb, cutoff)
+        if not tanh_left:
+            np.tanh(Sb, out=Tb)
+        Tb *= signs[rows, None]
+        Sb += Tb
+    return signs
+
+
+def _phi_step(W: np.ndarray, X: np.ndarray, S: np.ndarray, T: np.ndarray,
+              cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked signs and ``R = (1/t) Phi(S) S^T`` of ``S = W X``, which S
+    holds on entry and ``Phi(S)`` on return, with T as the block scratch.
+
+    ``R`` is formed as ``(Phi(S) X^T) W^T / t``, equal to ``Phi(S) S^T / t``
+    up to rounding, so no copy of ``S`` is needed.
+    """
+    signs = _phi_rows(S, T, cutoff)
+    return S @ X.T @ W.T / X.shape[1], signs
 
 
 def _phi_cov(S: np.ndarray, cutoff: int,
-             T: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Unchecked signs and higher-order covariance of a finite S (t >= 2),
-    with the m x t work buffer T (default fresh) for signs and ``Phi(S)``."""
-    T = np.empty_like(S) if T is None else T
-    signs = _signs(S, T, cutoff)
-    if S.shape[1] >= cutoff:  # the kurtosis rule left its scratch in T
-        np.tanh(S, out=T)
-    return _phi_gram(S, T, signs), signs
+             signs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked signs (those given, else the rule's) and higher-order
+    covariance ``(1/t) Phi(S) S^T`` of a finite S (t >= 2 for the rule),
+    with ``Phi(S)`` formed in a copy so that S is left intact."""
+    P = S.copy()
+    signs = _phi_rows(P, _scratch(S.shape), cutoff, signs)
+    return P @ S.T / S.shape[1], signs
 
 
 # While ``_iterate`` runs on a thread, ``_run.pairs`` maps each shape
-# (m, t) to the S and Phi(S) buffers that the run's steps share.
+# (m, t) to the S buffer and block scratch that the run's steps share.
 _run = threading.local()
 
 
 def _step_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The running solve's buffers for ``S`` and ``Phi(S)``, made by its
-    first step; outside a run, a fresh pair."""
+    """The running solve's buffer for ``S`` and its block scratch, made by
+    its first step; outside a run, a fresh pair."""
     pairs = getattr(_run, "pairs", {})
     if shape not in pairs:
-        pairs[shape] = np.empty(shape), np.empty(shape)
+        pairs[shape] = np.empty(shape), _scratch(shape)
     return pairs[shape]
 
 
@@ -251,17 +303,21 @@ def select_signs(sources, cutoff: int = _SIGN_CUTOFF) -> np.ndarray:
 
     Uses the rule of :func:`select_sign_stability` when the matrix has
     fewer than ``cutoff`` samples and that of :func:`select_sign_kurtosis`
-    otherwise, for all rows at once, with one m x t work buffer.
+    otherwise, for all rows, in blocks of rows of a scratch of about
+    1 MiB.
     """
+    _check_cutoff(cutoff)
     S = as_data_matrix(sources, name="sources")
-    return _signs(S, np.empty_like(S), cutoff)
+    return np.concatenate([_signs(Sb, Tb, cutoff) for _, Sb, Tb
+                           in _row_blocks(S, _scratch(S.shape))])
 
 
 def higher_order_cov(sources, signs) -> np.ndarray:
     """Higher-order covariance ``(1/t) Phi(S) S^T``.
 
     ``Phi`` applies :func:`phi` to each row with that row's sign, formed
-    in place in one m x t work buffer before a single matrix product.
+    in a copy of the sources (``tanh`` one block of rows at a time)
+    before a single matrix product.
     The 1/t factor keeps entries O(1) regardless of the sample count; it
     has no effect on the algorithm because the subsequent
     orthogonalization cancels any positive scaling of this matrix.
@@ -273,7 +329,7 @@ def higher_order_cov(sources, signs) -> np.ndarray:
             f"got {k.shape[0]} signs for {S.shape[0]} source rows")
     if not np.all((k == 1.0) | (k == -1.0)):
         raise ParameterError("signs must contain only +1 and -1")
-    return _phi_gram(S, np.tanh(S), k)
+    return _phi_cov(S, _SIGN_CUTOFF, k)[0]
 
 
 def _polar(M: np.ndarray) -> np.ndarray:
@@ -339,12 +395,13 @@ def update_step(state: UnmixingState, whitened,
     The returned state carries the new orthogonal ``W``, the signs used,
     an incremented iteration counter and the Frobenius weight change.
     """
+    _check_cutoff(cutoff)
     X = as_data_matrix(whitened, name="whitened")
     W = as_square_matrix(state.W, name="state.W")
     _check_orthogonal(W, X.shape[0], "state.W")
     S, T = _step_buffers(X.shape)
     np.matmul(W, X, out=S)
-    R, signs = _phi_cov(S, cutoff, T)
+    R, signs = _phi_step(W, X, S, T, cutoff)
     W_next = _polar(W.T @ R).T
     return UnmixingState(
         W=W_next,

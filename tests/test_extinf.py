@@ -49,6 +49,21 @@ def test_config_defaults_and_validation():
         config.learning_rate = 1.0
 
 
+def test_config_refuses_nan_max_iterations():
+    with pytest.raises(ParameterError, match="max_iterations"):
+        GradientConfig(max_iterations=float("nan"))
+
+
+@pytest.mark.parametrize("cutoff", [0, -5, float("nan")])
+def test_step_and_run_refuse_a_cutoff_below_one(cutoff):
+    X = _whitened_mixture(1, 1, 400, seed=5)
+    message = f"sign_rule_sample_cutoff must be >= 1, got {cutoff}"
+    with pytest.raises(ParameterError, match=message):
+        extinf_step(np.eye(2), X, GradientConfig(), cutoff)
+    with pytest.raises(ParameterError, match=message):
+        run_extinf(X, GradientConfig(), cutoff)
+
+
 def test_config_refuses_nan_learning_rate():
     # NaN fails every comparison, so a "< 0" check would let it through
     # to a run that diverges at its first step.

@@ -545,6 +545,26 @@ def test_iteration_config_validation():
         IterationConfig(sign_rule_sample_cutoff=0)
 
 
+def test_iteration_config_refuses_nan():
+    # NaN fails every comparison, so a "< 1" check would let it through:
+    # to range() as a cap, or to the sign rule as a cutoff.
+    with pytest.raises(ParameterError, match="max_iterations"):
+        IterationConfig(max_iterations=float("nan"))
+    with pytest.raises(ParameterError, match="sign_rule_sample_cutoff"):
+        IterationConfig(sign_rule_sample_cutoff=float("nan"))
+
+
+@pytest.mark.parametrize("cutoff", [0, -5, float("nan")])
+def test_public_entries_refuse_a_cutoff_below_one(cutoff):
+    X = _whitened_mixture(1, 1, 400, seed=5)
+    state = UnmixingState(W=np.eye(2), signs=np.ones(2))
+    message = f"sign_rule_sample_cutoff must be >= 1, got {cutoff}"
+    with pytest.raises(ParameterError, match=message):
+        select_signs(X, cutoff)
+    with pytest.raises(ParameterError, match=message):
+        update_step(state, X, cutoff)
+
+
 # ------------------------------------------------- apply / random_orthogonal
 
 

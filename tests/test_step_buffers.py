@@ -1,7 +1,8 @@
-"""The step buffers of a run: ``S = W X`` and the ``Phi(S)`` work buffer.
+"""The step buffers of a run: ``S = W X``, overwritten with ``Phi(S)``, and
+the row-block scratch in which the kernel forms ``Phi(S)``.
 
-The shared driver ``_iterate`` keeps one pair of m x t buffers per thread
-for the length of a run, and every step of that run computes into it.
+The shared driver ``_iterate`` keeps one such pair per thread for the
+length of a run, and every step of that run computes into it.
 These tests check that the pair never outlives its run (also when the run
 raises), that a step reuses the same memory throughout one run, that the
 result bits do not depend on what ran before or on what the buffers held,
@@ -65,18 +66,18 @@ def _bits(result):
             result.record.weight_changes.tobytes())
 
 
-def _spy_phi_cov(monkeypatch, module):
-    """Record, for every ``S`` and work buffer that ``module``'s step hands
-    to the phi-covariance kernel, whether both are the run's pair."""
+def _spy_phi_step(monkeypatch, module):
+    """Record, for every ``S`` and block scratch that ``module``'s step
+    hands to the phi-covariance kernel, whether both are the run's pair."""
     seen = []
-    kernel = module._phi_cov
+    kernel = module._phi_step
 
-    def spy(S, cutoff, T=None):
+    def spy(W, X, S, T, cutoff):
         pair = ogextinf._run.pairs[S.shape]
         seen.append(S is pair[0] and T is pair[1])
-        return kernel(S, cutoff, T)
+        return kernel(W, X, S, T, cutoff)
 
-    monkeypatch.setattr(module, "_phi_cov", spy)
+    monkeypatch.setattr(module, "_phi_step", spy)
     return seen
 
 
@@ -84,7 +85,7 @@ def _spy_phi_cov(monkeypatch, module):
     (ogextinf, run_ogextinf, _OG), (extinf, run_extinf, _EXT)])
 def test_run_reuses_one_pair_and_drops_it(monkeypatch, p1, module, solve,
                                           config):
-    seen = _spy_phi_cov(monkeypatch, module)
+    seen = _spy_phi_step(monkeypatch, module)
     solve(p1, config)
     assert seen == [True] * 25
     assert _no_buffers()
@@ -109,16 +110,16 @@ def test_buffers_dropped_when_a_run_raises(monkeypatch, p1):
 def _fail_third_step(monkeypatch, module):
     """Make the third step of ``module``'s runs raise
     DegenerateComponentError from the phi-covariance kernel."""
-    kernel = module._phi_cov
+    kernel = module._phi_step
     calls = []
 
-    def failing(S, cutoff, T=None):
+    def failing(W, X, S, T, cutoff):
         calls.append(S.shape)
         if len(calls) == 3:
             raise DegenerateComponentError("forced")
-        return kernel(S, cutoff, T)
+        return kernel(W, X, S, T, cutoff)
 
-    monkeypatch.setattr(module, "_phi_cov", failing)
+    monkeypatch.setattr(module, "_phi_step", failing)
 
 
 @pytest.mark.parametrize("module, solve, config", [
