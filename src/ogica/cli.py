@@ -37,7 +37,12 @@ from .metrics import (
     composed_unmixing,
 )
 from .ogextinf import IterationConfig, random_orthogonal, run_ogextinf
-from .preprocess import _whiten_in_place, apply_whitening, fit_whitening
+from .preprocess import (
+    _null_tolerance,
+    _whiten_in_place,
+    apply_whitening,
+    fit_whitening,
+)
 from .simulate import (
     GENERATOR_NAME,
     ExperimentSpec,
@@ -150,10 +155,12 @@ def build_parser() -> _Parser:
                      help="result JSON path (default result.json)")
     dec.add_argument("--algorithm", choices=_ALGORITHMS, default="ogextinf")
     _add_solver_flags(dec, cap=3000)
-    dec.add_argument("--pca-variance", type=_FRACTION, default=0.01,
+    dec.add_argument("--pca-variance", type=_FRACTION, default=None,
                      help="keep components explaining at least this "
                           "fraction of variance; 0 disables reduction "
-                          "(default 0.01)")
+                          "(default: drop only numerically null "
+                          "directions, eigenvalue <= max(n, t) * eps * "
+                          "largest)")
     dec.add_argument("--init", choices=("identity", "random"),
                      default="identity",
                      help="initial unmixing matrix (default identity)")
@@ -303,6 +310,11 @@ def cmd_decompose(args, parser: _Parser) -> int:
         },
         "input": {"channels": n, "samples": t},
         "whitening": {
+            "rule": ("null_directions" if args.pca_variance is None
+                     else "variance_fraction"),
+            "rule_threshold": (_null_tolerance((n, t))
+                               if args.pca_variance is None
+                               else args.pca_variance),
             "retained": m,
             "eigenvalues": model.eigenvalues.tolist(),
             "mean": model.mean.tolist(),

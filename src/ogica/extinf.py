@@ -18,13 +18,12 @@ from .exceptions import DivergenceError, ParameterError, ValidationError
 from .ogextinf import (
     _SIGN_CUTOFF,
     ICAResult,
+    _Pass,
+    _as_pass,
     _check_cutoff,
     _check_stopping_rule,
     _check_whitened,
     _iterate,
-    _phi_step,
-    _step_buffers,
-    apply_unmixing,
     select_signs,
     weight_change,
 )
@@ -67,25 +66,21 @@ def extinf_step(W, whitened, config: GradientConfig,
     """One natural-gradient step.
 
     Computes ``S = W X``, selects signs and forms ``(1/t) Phi(S) S^T``
-    with the orthogonal variant's kernel, and returns ``W + eps G W``
-    for ``G = I - (1/t) Phi(S) S^T``, the Frobenius norm of the
-    difference (which carries the eps factor) and the eps the step used
-    after any halvings.
+    with the orthogonal variant's pass over the data, and returns
+    ``W + eps G W`` for ``G = I - (1/t) Phi(S) S^T``, the Frobenius norm
+    of the difference (which carries the eps factor) and the eps the step
+    used after any halvings.  ``whitened`` is an array, which is
+    validated, or the pass of the running :func:`run_extinf`.  Raises
+    :class:`DivergenceError` when ``W X`` has a non-finite entry.
     """
     _check_cutoff(cutoff)
     W_arr = as_square_matrix(W, name="W")
-    X = as_data_matrix(whitened, name="whitened")
-    if W_arr.shape[0] != X.shape[0]:
+    data = _as_pass(whitened)
+    if W_arr.shape[0] != data.X.shape[0]:
         raise ValidationError(
             f"W is {W_arr.shape[0]}x{W_arr.shape[0]} but data has "
-            f"{X.shape[0]} rows")
-    S, T = _step_buffers(X.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(W_arr, X, out=S)
-    if not np.all(np.isfinite(S)):
-        raise DivergenceError(
-            "unmixed sources overflowed; the weights have diverged")
-    G = np.eye(W_arr.shape[0]) - _phi_step(W_arr, X, S, T, cutoff)[0]
+            f"{data.X.shape[0]} rows")
+    G = np.eye(W_arr.shape[0]) - data(W_arr, cutoff)[0]
     step_dir = G @ W_arr
     eps = config.learning_rate
     for attempt in range(_MAX_ANNEALS + 1):
@@ -116,18 +111,20 @@ def run_extinf(whitened, config: GradientConfig | None = None,
     cfg = config if config is not None else GradientConfig()
     _check_cutoff(cutoff)
     X = as_data_matrix(whitened, name="whitened")
-    _check_whitened(X, strict=False)
+    data = _Pass(X)
+    _check_whitened(data.cov, strict=False)
 
     def step(state):
         W, step_cfg = state
-        W, change, eps = extinf_step(W, X, step_cfg, cutoff)
+        W, change, eps = extinf_step(W, data, step_cfg, cutoff)
         if eps != step_cfg.learning_rate:
             step_cfg = replace(step_cfg, learning_rate=eps)
         return (W, step_cfg), change
 
     (W, last_cfg), record = _iterate(step, (np.eye(X.shape[0]), cfg),
                                      cfg.max_iterations, cfg.tolerance)
-    sources = apply_unmixing(W, X)
+    del data  # the pass and its scratches go before the sources come
+    sources = W @ X
     return ICAResult(
         W=W,
         sources=sources,

@@ -45,8 +45,11 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
 
     Raises :class:`MatrixParseError` naming the 1-based row (and column
     where applicable) on ragged rows, non-numeric cells, or an empty file.
+    A byte outside ASCII decodes to a lone surrogate, which no number
+    contains, so it is reported as a non-numeric cell.
     """
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape",
+              newline="") as fh:
         # A first pass counts the rows, so that each line is parsed
         # straight into its row of the one result matrix.
         n_rows = sum(1 for _ in fh)

@@ -10,16 +10,16 @@ step, with no inverse or linear solve.  The nonlinearity
 and sub-Gaussian (``k = -1``) shape per component, with ``k`` re-estimated
 from the data on every iteration.
 
-Both solvers get the signs and ``R`` from one kernel, ``_phi_step``.  It
-walks ``S`` in blocks of rows that fit a scratch of about 1 MiB: in each
-block the sign rule reduces every row (through ``tanh(S)``, or the
-squared centred rows) in the scratch, the scratch then holds
-``k tanh(S)``, and the block of ``S`` is overwritten with ``phi(S)``.
-Since ``S = W X``, ``R = Phi(S) S^T / t = (Phi(S) X^T) W^T / t`` needs
-no copy of ``S``, so a step holds ``X``, ``S`` and one block.  The shared
-driver ``_iterate`` owns ``S`` and the scratch: one pair per thread, made
-by a run's first step, reused by every later step and dropped when the
-run ends or raises.  A step outside a run makes its own.
+Both solvers get the signs and ``R`` from one streaming pass over the data
+``X``, a :class:`_Pass` that a run builds once (validating ``X`` once) and
+hands to every step in place of the data.  The pass walks ``X`` in blocks
+of columns that fit a scratch of about 1 MiB: per block it forms
+``S_c = W X_c``, adds the sign rule's per-row sums, takes ``tanh(S_c)`` in
+place and accumulates ``G += tanh(S_c) X_c^T``.  Since ``S = W X`` and
+``phi(S) S^T = S S^T + K tanh(S) S^T``, the signs then act only through
+``R = W C W^T + K G W^T / t`` with ``C = X X^T / t`` formed once per run,
+so a step holds ``X`` and two blocks and never an m x t matrix.  A step
+called with an array builds a pass of its own.
 
 There is no learning rate anywhere in this scheme; the iteration either
 sits at a fixed point (``R = I``, the Bussgang condition for independent
@@ -28,7 +28,6 @@ unit-variance sources) or moves by whole multiplicative steps.
 
 from __future__ import annotations
 
-import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -37,6 +36,7 @@ import numpy as np
 
 from .exceptions import (
     DegenerateComponentError,
+    DivergenceError,
     NumericalError,
     ParameterError,
     SingularUpdateError,
@@ -57,12 +57,15 @@ _ORTHO_TOL = 1e-6
 _TINY = np.finfo(float).tiny
 # Default sample count at which every sign rule switches to kurtosis.
 _SIGN_CUTOFF = 1000
-# Size of the scratch in which the kernels walk a source matrix, in rows
-# of at most this many bytes (and at least one row).  Smaller blocks pay
-# numpy's per-call overhead too often: at 20 x 5000, which stays one block
-# here, 128 KiB blocks add about 20% to the kernel time and 64 KiB ones
-# (one row) about 85%.
+# Size of the scratch in which the kernels walk a matrix, in blocks of
+# rows (or, in a pass, of columns) of at most this many bytes and at least
+# one row or column.  Smaller blocks pay numpy's per-call overhead too
+# often: at 20 x 5000, which stays one block here, 128 KiB blocks add about
+# 20% to the kernel time and 64 KiB ones (one row) about 85%.
 _BLOCK_BYTES = 1 << 20
+# A pass needs no finiteness scan of ``W X`` when the largest row sum of
+# ``|W|`` times ``max|X|`` is below this, since that bounds every entry.
+_FINITE_BOUND = 1e300
 
 
 def _check_stopping_rule(max_iterations: int, tolerance: float) -> None:
@@ -159,33 +162,45 @@ def phi(values, k) -> np.ndarray:
     return arr + k * np.tanh(arr)
 
 
-def _stability_signs(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Stability-rule signs of the rows of S; leaves ``tanh(S)`` in T."""
-    t = S.shape[1]
-    np.tanh(S, out=T)
-    # E{sech^2} = 1 - E{tanh^2} avoids a separate cosh evaluation.
-    crit = ((1.0 - np.einsum("ij,ij->i", T, T) / t)
-            * (np.einsum("ij,ij->i", S, S) / t)
-            - np.einsum("ij,ij->i", T, S) / t)
-    return np.where(crit >= 0.0, 1.0, -1.0)
+def _stability_rule(tanh2: np.ndarray, s2: np.ndarray,
+                    s_tanh: np.ndarray) -> np.ndarray:
+    """Signs of ``E{sech^2} E{s^2} - E{s tanh s}`` from the row means of
+    ``tanh^2``, ``s^2`` and ``s tanh s``; ``E{sech^2} = 1 - E{tanh^2}``
+    avoids a separate cosh evaluation."""
+    return np.where((1.0 - tanh2) * s2 - s_tanh >= 0.0, 1.0, -1.0)
 
 
-def _kurtosis_signs(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Kurtosis-rule signs of the rows of S, with T as scratch."""
-    t = S.shape[1]
-    np.subtract(S, S.mean(axis=1, keepdims=True), out=T)
+def _kurtosis_rule(m2: np.ndarray, m4: np.ndarray) -> np.ndarray:
+    """Signs of the excess kurtosis ``m4 / m2^2 - 3`` from the central
+    moments of each row."""
     # A variance that is zero, or whose square under- or overflows,
     # leaves the excess 0/0, x/0 or inf/inf; a subnormal square leaves a
     # ratio with too few significant bits to trust its sign.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.multiply(T, T, out=T)
-        m2 = T.mean(axis=1)
         m2_squared = m2 * m2
-        excess = np.einsum("ij,ij->i", T, T) / t / m2_squared - 3.0
+        excess = m4 / m2_squared - 3.0
     if not (np.all(m2_squared >= _TINY) and np.all(np.isfinite(excess))):
         raise DegenerateComponentError(
             "sample variance zero or out of range; kurtosis sign undefined")
     return np.where(excess >= 0.0, 1.0, -1.0)
+
+
+def _stability_signs(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Stability-rule signs of the rows of S; leaves ``tanh(S)`` in T."""
+    t = S.shape[1]
+    np.tanh(S, out=T)
+    return _stability_rule(np.einsum("ij,ij->i", T, T) / t,
+                           np.einsum("ij,ij->i", S, S) / t,
+                           np.einsum("ij,ij->i", T, S) / t)
+
+
+def _kurtosis_signs(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Kurtosis-rule signs of the rows of S, with T as scratch."""
+    np.subtract(S, S.mean(axis=1, keepdims=True), out=T)
+    with np.errstate(over="ignore"):
+        np.multiply(T, T, out=T)
+    return _kurtosis_rule(T.mean(axis=1),
+                          np.einsum("ij,ij->i", T, T) / S.shape[1])
 
 
 def _signs(S: np.ndarray, T: np.ndarray, cutoff: int) -> np.ndarray:
@@ -232,18 +247,6 @@ def _phi_rows(S: np.ndarray, T: np.ndarray, cutoff: int,
     return signs
 
 
-def _phi_step(W: np.ndarray, X: np.ndarray, S: np.ndarray, T: np.ndarray,
-              cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unchecked signs and ``R = (1/t) Phi(S) S^T`` of ``S = W X``, which S
-    holds on entry and ``Phi(S)`` on return, with T as the block scratch.
-
-    ``R`` is formed as ``(Phi(S) X^T) W^T / t``, equal to ``Phi(S) S^T / t``
-    up to rounding, so no copy of ``S`` is needed.
-    """
-    signs = _phi_rows(S, T, cutoff)
-    return S @ X.T @ W.T / X.shape[1], signs
-
-
 def _phi_cov(S: np.ndarray, cutoff: int,
              signs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked signs (those given, else the rule's) and higher-order
@@ -254,18 +257,82 @@ def _phi_cov(S: np.ndarray, cutoff: int,
     return P @ S.T / S.shape[1], signs
 
 
-# While ``_iterate`` runs on a thread, ``_run.pairs`` maps each shape
-# (m, t) to the S buffer and block scratch that the run's steps share.
-_run = threading.local()
+class _Pass:
+    """One streaming pass over a validated data matrix ``X`` per step.
+
+    Holds ``X``, its row means, ``C = X X^T / t``, ``max|X|`` and two
+    scratches of as many columns of ``X`` as fit ``_BLOCK_BYTES`` (at
+    least one).  A run builds one and hands it to each of its steps; it
+    is never shared between runs or threads.
+    """
+
+    def __init__(self, X: np.ndarray) -> None:
+        m, t = X.shape
+        self.X = X
+        self.mean = X.mean(axis=1)
+        self.cov = X @ X.T / t
+        self.peak = max(X.max(), -X.min())
+        self.cols = min(t, max(1, _BLOCK_BYTES // (8 * m)))
+        self.scratches = np.empty(m * self.cols), np.empty(m * self.cols)
+
+    def _blocks(self):
+        """Each block of columns ``X_c`` with two m-row scratches of its
+        width."""
+        X, cols = self.X, self.cols
+        m, t = X.shape
+        for c in range(0, t, cols):
+            Xc = X[:, c:c + cols]
+            size = Xc.size
+            yield Xc, *(a[:size].reshape(m, -1) for a in self.scratches)
+
+    def __call__(self, W: np.ndarray, cutoff: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Unchecked signs and ``R = E{Phi(S) S^T}`` of ``S = W X`` for a
+        finite m x m W; raises :class:`DivergenceError` when ``W X``
+        overflows.
+
+        The kurtosis rule centres each row on ``W`` times the row means
+        of X, which is the row mean of S up to rounding, and the
+        stability rule reads ``E{s^2}`` and ``E{s tanh s}`` off the
+        diagonals of ``W C W^T`` and ``G W^T / t``.
+        """
+        m, t = self.X.shape
+        kurtosis = t >= cutoff
+        with np.errstate(over="ignore"):
+            scan = not np.abs(W).sum(axis=1).max() * self.peak < _FINITE_BOUND
+            mu = (W @ self.mean)[:, None]
+        G = np.zeros((m, m))
+        sums = np.zeros((2, m))
+        for Xc, S, T in self._blocks():
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(W, Xc, out=S)
+            if scan and not np.all(np.isfinite(S)):
+                raise DivergenceError(
+                    "unmixed sources overflowed; the weights have diverged")
+            if kurtosis:
+                np.subtract(S, mu, out=T)
+                with np.errstate(over="ignore"):
+                    np.multiply(T, T, out=T)
+                sums[0] += T.sum(axis=1)
+                sums[1] += np.einsum("ij,ij->i", T, T)
+            np.tanh(S, out=S)
+            if not kurtosis:
+                sums[0] += np.einsum("ij,ij->i", S, S)
+            G += S @ Xc.T
+        M = W @ self.cov @ W.T
+        GW = G @ W.T / t
+        if kurtosis:
+            signs = _kurtosis_rule(sums[0] / t, sums[1] / t)
+        else:
+            signs = _stability_rule(sums[0] / t, np.diag(M), np.diag(GW))
+        return M + signs[:, None] * GW, signs
 
 
-def _step_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The running solve's buffer for ``S`` and its block scratch, made by
-    its first step; outside a run, a fresh pair."""
-    pairs = getattr(_run, "pairs", {})
-    if shape not in pairs:
-        pairs[shape] = np.empty(shape), _scratch(shape)
-    return pairs[shape]
+def _as_pass(whitened) -> _Pass:
+    """The run's pass, or a fresh one over the validated array."""
+    if isinstance(whitened, _Pass):
+        return whitened
+    return _Pass(as_data_matrix(whitened, name="whitened"))
 
 
 def _component(component) -> np.ndarray:
@@ -394,14 +461,14 @@ def update_step(state: UnmixingState, whitened,
     higher-order covariance and applies :func:`multiplicative_update`.
     The returned state carries the new orthogonal ``W``, the signs used,
     an incremented iteration counter and the Frobenius weight change.
+    ``whitened`` is an array, which is validated, or the pass of the
+    running :func:`run_ogextinf`.
     """
     _check_cutoff(cutoff)
-    X = as_data_matrix(whitened, name="whitened")
+    data = _as_pass(whitened)
     W = as_square_matrix(state.W, name="state.W")
-    _check_orthogonal(W, X.shape[0], "state.W")
-    S, T = _step_buffers(X.shape)
-    np.matmul(W, X, out=S)
-    R, signs = _phi_step(W, X, S, T, cutoff)
+    _check_orthogonal(W, data.X.shape[0], "state.W")
+    R, signs = data(W, cutoff)
     W_next = _polar(W.T @ R).T
     return UnmixingState(
         W=W_next,
@@ -437,10 +504,9 @@ def random_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.where(d == 0.0, 1.0, np.sign(d))
 
 
-def _check_whitened(X: np.ndarray, strict: bool) -> None:
-    """Raise (``strict``) or warn when X's sample covariance is not I."""
-    m, t = X.shape
-    err = float(np.max(np.abs(X @ X.T / t - np.eye(m))))
+def _check_whitened(cov: np.ndarray, strict: bool) -> None:
+    """Raise (``strict``) or warn when a sample covariance is not I."""
+    err = float(np.max(np.abs(cov - np.eye(cov.shape[0]))))
     if err > _WHITENESS_TOL:
         msg = (f"input does not look whitened: sample covariance deviates "
                f"from the identity by {err:.3e} (limit {_WHITENESS_TOL:g})")
@@ -456,23 +522,19 @@ def _iterate(step, state, max_iterations: int, tolerance: float):
     changes: list[float] = []
     stopwatch: list[float] = []
     converged = False
-    _run.pairs = {}
-    try:
-        for i in range(1, max_iterations + 1):
-            tic = time.perf_counter()
-            try:
-                state, change = step(state)
-            except NumericalError as exc:
-                exc.iteration = i
-                exc.args = (f"iteration {i}: {exc}",)
-                raise
-            stopwatch.append(time.perf_counter() - tic)
-            changes.append(change)
-            if change <= tolerance:
-                converged = True
-                break
-    finally:
-        del _run.pairs
+    for i in range(1, max_iterations + 1):
+        tic = time.perf_counter()
+        try:
+            state, change = step(state)
+        except NumericalError as exc:
+            exc.iteration = i
+            exc.args = (f"iteration {i}: {exc}",)
+            raise
+        stopwatch.append(time.perf_counter() - tic)
+        changes.append(change)
+        if change <= tolerance:
+            converged = True
+            break
     return state, ConvergenceRecord(
         weight_changes=np.asarray(changes),
         elapsed=np.asarray(stopwatch),
@@ -511,7 +573,8 @@ def run_ogextinf(whitened, config: IterationConfig | None = None, *,
     cfg = config if config is not None else IterationConfig()
     X = as_data_matrix(whitened, name="whitened")
     m = X.shape[0]
-    _check_whitened(X, strict)
+    data = _Pass(X)
+    _check_whitened(data.cov, strict)
     if cfg.initial_W is None:
         W0 = np.eye(m)
     else:
@@ -519,14 +582,15 @@ def run_ogextinf(whitened, config: IterationConfig | None = None, *,
         _check_orthogonal(W0, m, "initial_W", 1e-8)
 
     def step(state: UnmixingState) -> tuple[UnmixingState, float]:
-        state = update_step(state, X, cfg.sign_rule_sample_cutoff)
+        state = update_step(state, data, cfg.sign_rule_sample_cutoff)
         return state, state.weight_change
 
     state, record = _iterate(step, UnmixingState(W=W0, signs=np.ones(m)),
                              cfg.max_iterations, cfg.tolerance)
+    del data  # the pass and its scratches go before the sources come
     return ICAResult(
         W=state.W,
-        sources=apply_unmixing(state.W, X),
+        sources=state.W @ X,
         signs=state.signs,
         record=record,
         elapsed_total=float(sum(record.elapsed)),

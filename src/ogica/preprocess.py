@@ -3,8 +3,9 @@
 Whitening maps centered data to components with identity sample
 covariance; dimensionality can be reduced at the same time by dropping
 principal directions that explain less than a given fraction of the total
-variance.  Sample covariances throughout this package are normalized by
-the number of samples ``t`` (maximum-likelihood convention), not ``t - 1``.
+variance, or only those that are null to rounding.  Sample covariances
+throughout this package are normalized by the number of samples ``t``
+(maximum-likelihood convention), not ``t - 1``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ class WhiteningModel:
         Number of principal components kept (``m``).
     eigenvalues : ndarray, shape (n,)
         All covariance eigenvalues, sorted in nonincreasing order.
-    variance_threshold : float
-        The retention threshold the model was fitted with.
+    variance_threshold : float or None
+        The retention threshold the model was fitted with; ``None`` for
+        the rule that drops only null directions.
     """
 
     mean: np.ndarray
@@ -48,7 +50,7 @@ class WhiteningModel:
     dewhitener: np.ndarray
     retained: int
     eigenvalues: np.ndarray
-    variance_threshold: float
+    variance_threshold: float | None
 
     @property
     def n_channels(self) -> int:
@@ -66,7 +68,8 @@ def center(data) -> tuple[np.ndarray, np.ndarray]:
     return arr - mean[:, None], mean
 
 
-def fit_whitening(data, variance_threshold: float = 0.0) -> WhiteningModel:
+def fit_whitening(data, variance_threshold: float | None = 0.0
+                  ) -> WhiteningModel:
     """Fit a PCA whitening transform to ``data``.
 
     The data is centered internally (the mean is recorded in the model).
@@ -74,23 +77,26 @@ def fit_whitening(data, variance_threshold: float = 0.0) -> WhiteningModel:
     least ``variance_threshold`` of the total variance, i.e.
     ``lam_i / sum(lam) >= variance_threshold``; at least one component is
     always kept.  Fractions are measured against the sum of *all*
-    eigenvalues, including discarded ones.
+    eigenvalues, including discarded ones.  With ``variance_threshold``
+    ``None`` only numerically null directions are dropped: a direction is
+    kept when ``lam_i > max(n, t) * eps * lam_max``, the tolerance of
+    ``numpy.linalg.matrix_rank``.
 
     Raises
     ------
     ParameterError
-        If ``variance_threshold`` is not in ``[0, 1)``.
+        If ``variance_threshold`` is neither ``None`` nor in ``[0, 1)``.
     DegenerateDataError
         If the data has no variance at all.
     """
-    if not 0.0 <= variance_threshold < 1.0:
+    if variance_threshold is not None and not 0.0 <= variance_threshold < 1.0:
         raise ParameterError(
             f"variance_threshold must be in [0, 1), got {variance_threshold}")
     centered, mean = center(data)
     return _fit_centered(centered, mean, variance_threshold)
 
 
-def _whiten_in_place(data: np.ndarray, variance_threshold: float
+def _whiten_in_place(data: np.ndarray, variance_threshold: float | None
                      ) -> tuple[WhiteningModel, np.ndarray]:
     """Fit a whitening model to ``data`` and return it with the whitened
     data, bit for bit what :func:`fit_whitening` then
@@ -107,8 +113,14 @@ def _whiten_in_place(data: np.ndarray, variance_threshold: float
     return model, model.whitener @ data
 
 
+def _null_tolerance(shape: tuple[int, int]) -> float:
+    """The largest eigenvalue, relative to the largest one, that the
+    null-direction rule drops for data of this shape."""
+    return max(shape) * np.finfo(float).eps
+
+
 def _fit_centered(centered: np.ndarray, mean: np.ndarray,
-                  variance_threshold: float) -> WhiteningModel:
+                  variance_threshold: float | None) -> WhiteningModel:
     """The whitening model of data already centred on ``mean``."""
     n, t = centered.shape
     if t <= n:
@@ -131,9 +143,11 @@ def _fit_centered(centered: np.ndarray, mean: np.ndarray,
         pivot = np.argmax(np.abs(evecs[:, j]))
         if evecs[pivot, j] < 0:
             evecs[:, j] = -evecs[:, j]
-    fractions = evals / evals.sum()
-    retained = int(np.count_nonzero(fractions >= variance_threshold))
-    retained = max(retained, 1)
+    if variance_threshold is None:
+        kept = evals > _null_tolerance(centered.shape) * evals[0]
+    else:
+        kept = evals / evals.sum() >= variance_threshold
+    retained = max(int(np.count_nonzero(kept)), 1)
     kept = np.maximum(evals[:retained], _EIG_FLOOR * evals[0])
     scale = 1.0 / np.sqrt(kept)
     whitener = scale[:, None] * evecs[:, :retained].T

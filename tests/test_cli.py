@@ -237,6 +237,25 @@ def test_decompose_reduces_rank_deficient_input(tmp_path):
     assert np.array(payload["result"]["W_composed"]).shape == (2, 3)
 
 
+def test_decompose_default_keeps_every_source(tmp_path):
+    # The simulator's sources are all real: whitening at the defaults may
+    # drop only numerically null directions, so preset 1 keeps all 20 and
+    # converges.
+    data = tmp_path / "p1"
+    assert main(["simulate", "--experiment", "1", "--seed", "7",
+                 "--output-dir", str(data)]) == 0
+    out = tmp_path / "p1.json"
+    assert main(["decompose", str(data / "observed.csv"),
+                 "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["schema"] == "ogica.decompose/1"
+    assert payload["whitening"]["retained"] == 20
+    assert payload["whitening"]["rule"] == "null_directions"
+    assert payload["whitening"]["rule_threshold"] == 5000 * np.finfo(float).eps
+    assert payload["config"]["pca_variance"] is None
+    assert payload["result"]["converged"] is True
+
+
 def test_decompose_single_channel(tmp_path):
     rng = np.random.default_rng(61)
     path = tmp_path / "one.csv"
@@ -280,6 +299,14 @@ def test_decompose_malformed_csv(tmp_path, capsys):
     code = main(["decompose", str(path), "-o", str(tmp_path / "z.json")])
     assert code == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def test_decompose_non_ascii_csv(tmp_path, capsys):
+    path = tmp_path / "accent.csv"
+    path.write_bytes(b"1.0,2.0\n3.0,\xc3\xa9\n")
+    code = main(["decompose", str(path), "-o", str(tmp_path / "z.json")])
+    assert code == 2
+    assert "parse error: row 2, column 2" in capsys.readouterr().err
 
 
 def test_decompose_nonfinite_csv(tmp_path, capsys):

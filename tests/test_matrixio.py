@@ -137,6 +137,16 @@ def test_read_non_numeric_cell(tmp_path):
     assert "oops" in str(excinfo.value)
 
 
+def test_read_non_ascii_cell(tmp_path):
+    path = tmp_path / "accent.csv"
+    path.write_bytes(b"1.0,2.0\n3.0,\xc3\xa9\n")
+    with pytest.raises(MatrixParseError) as excinfo:
+        read_matrix(path)
+    assert excinfo.value.row == 2
+    assert excinfo.value.column == 2
+    assert str(excinfo.value).startswith("row 2, column 2: not a number")
+
+
 def test_read_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -222,6 +222,25 @@ def test_rank_deficient_with_zero_threshold_stays_finite():
     assert np.all(np.isfinite(apply_whitening(model, data)))
 
 
+def test_null_direction_rule_drops_only_rounding_level_directions():
+    rng = np.random.default_rng(9)
+    full = rng.standard_normal((4, 300)) * np.array([[1e2], [1.0], [1e-1],
+                                                     [1e-2]])
+    # Every direction is real: the rule keeps them all, bit for bit as
+    # the zero fraction does.
+    kept, every = fit_whitening(full, None), fit_whitening(full, 0.0)
+    assert kept.retained == 4 and kept.variance_threshold is None
+    assert np.array_equal(kept.whitener, every.whitener)
+    assert fit_whitening(full, 0.01).retained == 1
+    # A channel that repeats a sum of two others to rounding is dropped.
+    data = np.vstack([full[:2], full[0] + full[1]])
+    model = fit_whitening(data, None)
+    assert model.retained == 2
+    eps = np.finfo(float).eps
+    assert model.eigenvalues[2] <= 300 * eps * model.eigenvalues[0]
+    assert fit_whitening(data, 0.0).retained in (2, 3)
+
+
 def test_apply_whitening_identity_model():
     data = np.array([[1.0, 2.0], [3.0, 4.0]])
     model = WhiteningModel(mean=np.zeros(2), whitener=np.eye(2),

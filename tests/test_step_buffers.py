@@ -1,19 +1,22 @@
-"""The step buffers of a run: ``S = W X``, overwritten with ``Phi(S)``, and
-the row-block scratch in which the kernel forms ``Phi(S)``.
+"""The pass of a run: the one streaming walk over the data ``X`` that every
+step of a run makes, with its two column-block scratches.
 
-The shared driver ``_iterate`` keeps one such pair per thread for the
-length of a run, and every step of that run computes into it.
-These tests check that the pair never outlives its run (also when the run
-raises), that a step reuses the same memory throughout one run, that the
-result bits do not depend on what ran before or on what the buffers held,
-that steps called outside a run return nothing that aliases, and that
-two threads keep separate buffers.  They also check that a numerical
-failure in any step of a run leaves it with the step's iteration.
+A run builds one pass and hands it to each of its steps in place of the
+data, so no state outlives the run or is shared between threads.
+These tests check that one pass serves every step of a run and is
+unreachable once the run ends (also when it raises), that the result bits
+do not depend on what ran before or on what the scratches held, that
+steps called outside a run return nothing that aliases, and that two
+threads keep separate passes.  They also check that a numerical failure in
+any step of a run leaves it with the step's iteration.
 """
 
+import gc
 import json
 import sys
 import threading
+import weakref
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -57,8 +60,23 @@ def p2():
     return _whitened(2)
 
 
-def _no_buffers():
-    return getattr(ogextinf._run, "pairs", None) is None
+def _spy_passes(monkeypatch):
+    """Weak references to every pass made from now on, by thread."""
+    made = defaultdict(list)
+    init = ogextinf._Pass.__init__
+
+    def spy(self, X):
+        init(self, X)
+        made[threading.current_thread()].append(weakref.ref(self))
+
+    monkeypatch.setattr(ogextinf._Pass, "__init__", spy)
+    return made
+
+
+def _released(refs):
+    """Whether every referenced pass is gone, cycles collected."""
+    gc.collect()
+    return all(ref() is None for ref in refs)
 
 
 def _bits(result):
@@ -66,18 +84,22 @@ def _bits(result):
             result.record.weight_changes.tobytes())
 
 
-def _spy_phi_step(monkeypatch, module):
-    """Record, for every ``S`` and block scratch that ``module``'s step
-    hands to the phi-covariance kernel, whether both are the run's pair."""
+_STEP = {ogextinf: "update_step", extinf: "extinf_step"}
+
+
+def _spy_steps(monkeypatch, module, made):
+    """Record, for the data that every step of ``module``'s runs is handed
+    (through the module-global name the runs call), whether it is the
+    first pass that this thread made."""
     seen = []
-    kernel = module._phi_step
+    step = getattr(module, _STEP[module])
 
-    def spy(W, X, S, T, cutoff):
-        pair = ogextinf._run.pairs[S.shape]
-        seen.append(S is pair[0] and T is pair[1])
-        return kernel(W, X, S, T, cutoff)
+    def spy(*args):
+        passes = made[threading.current_thread()]
+        seen.append(bool(passes) and args[1] is passes[0]())
+        return step(*args)
 
-    monkeypatch.setattr(module, "_phi_step", spy)
+    monkeypatch.setattr(module, _STEP[module], spy)
     return seen
 
 
@@ -85,59 +107,67 @@ def _spy_phi_step(monkeypatch, module):
     (ogextinf, run_ogextinf, _OG), (extinf, run_extinf, _EXT)])
 def test_run_reuses_one_pair_and_drops_it(monkeypatch, p1, module, solve,
                                           config):
-    seen = _spy_phi_step(monkeypatch, module)
+    made = _spy_passes(monkeypatch)
+    seen = _spy_steps(monkeypatch, module, made)
     solve(p1, config)
     assert seen == [True] * 25
-    assert _no_buffers()
+    refs = made[threading.current_thread()]
+    assert len(refs) == 1
+    assert _released(refs)
 
 
 def test_buffers_dropped_when_a_run_raises(monkeypatch, p1):
+    made = _spy_passes(monkeypatch)
+    refs = made[threading.current_thread()]
+
     def singular(M):
-        assert ogextinf._run.pairs  # the run holds its pair here
+        assert refs[-1]() is not None  # the run holds its pass here
         raise SingularUpdateError("forced", condition=float("inf"))
 
     monkeypatch.setattr(ogextinf, "_polar", singular)
     with pytest.raises(SingularUpdateError) as excinfo:
         run_ogextinf(p1, _OG)
     assert excinfo.value.iteration == 1
-    assert _no_buffers()
+    del excinfo  # its traceback holds the frames of the failed step
+    assert len(refs) == 1 and _released(refs)
 
     with pytest.raises(DivergenceError):
         run_extinf(p1, GradientConfig(learning_rate=1e12, anneal=False))
-    assert _no_buffers()
+    assert len(refs) == 2 and _released(refs)
 
 
-def _fail_third_step(monkeypatch, module):
-    """Make the third step of ``module``'s runs raise
-    DegenerateComponentError from the phi-covariance kernel."""
-    kernel = module._phi_step
-    calls = []
+def _fail_third_step(monkeypatch):
+    """Make the third step of every run raise DegenerateComponentError
+    from the run's pass."""
+    walk = ogextinf._Pass.__call__
 
-    def failing(W, X, S, T, cutoff):
-        calls.append(S.shape)
-        if len(calls) == 3:
+    def failing(self, W, cutoff):
+        self.steps = getattr(self, "steps", 0) + 1
+        if self.steps == 3:
             raise DegenerateComponentError("forced")
-        return kernel(W, X, S, T, cutoff)
+        return walk(self, W, cutoff)
 
-    monkeypatch.setattr(module, "_phi_step", failing)
+    monkeypatch.setattr(ogextinf._Pass, "__call__", failing)
 
 
 @pytest.mark.parametrize("module, solve, config", [
     (ogextinf, run_ogextinf, _OG), (extinf, run_extinf, _EXT)])
 def test_failure_in_a_step_carries_its_iteration(monkeypatch, p1, module,
                                                  solve, config):
-    _fail_third_step(monkeypatch, module)
+    made = _spy_passes(monkeypatch)
+    _fail_third_step(monkeypatch)
     with pytest.raises(DegenerateComponentError) as excinfo:
         solve(p1, config)
     assert excinfo.value.iteration == 3
     assert str(excinfo.value) == "iteration 3: forced"
-    assert _no_buffers()
+    del excinfo
+    refs = made[threading.current_thread()]
+    assert len(refs) == 1 and _released(refs)
 
 
 def test_benchmark_records_the_iteration_of_a_failure(monkeypatch,
                                                       tmp_path):
-    for module in (ogextinf, extinf):
-        _fail_third_step(monkeypatch, module)
+    _fail_third_step(monkeypatch)
     report = tmp_path / "report.json"
     assert main(["benchmark", "--runs", "1", "--seed", "3",
                  "-o", str(report)]) == 0
@@ -156,23 +186,22 @@ def test_results_do_not_depend_on_earlier_runs_or_stale_buffers(
         assert [_bits(run_ogextinf(p1, _OG)), _bits(run_ogextinf(p2, _OG)),
                 _bits(run_extinf(p1, _EXT))] == alone
 
-    # A step must overwrite everything it reads: NaN-filled buffers
+    # A step must overwrite everything it reads: NaN-filled scratches
     # change no bit.
-    make = ogextinf._step_buffers
+    init = ogextinf._Pass.__init__
 
-    def poisoned(shape):
-        pair = make(shape)
-        for buffer in pair:
-            buffer.fill(np.nan)
-        return pair
+    def poisoned(self, X):
+        init(self, X)
+        for scratch in self.scratches:
+            scratch.fill(np.nan)
 
-    monkeypatch.setattr(ogextinf, "_step_buffers", poisoned)
-    monkeypatch.setattr(extinf, "_step_buffers", poisoned)
+    monkeypatch.setattr(ogextinf._Pass, "__init__", poisoned)
     assert [_bits(run_ogextinf(p1, _OG)), _bits(run_ogextinf(p2, _OG)),
             _bits(run_extinf(p1, _EXT))] == alone
 
 
-def test_direct_steps_return_unaliased_arrays(p1):
+def test_direct_steps_return_unaliased_arrays(monkeypatch, p1):
+    made = _spy_passes(monkeypatch)
     state = UnmixingState(W=np.eye(p1.shape[0]), signs=np.ones(p1.shape[0]))
     first = update_step(state, p1)
     W_copy, signs_copy = first.W.copy(), first.signs.copy()
@@ -182,18 +211,22 @@ def test_direct_steps_return_unaliased_arrays(p1):
     assert np.array_equal(first.W, W_copy)
     assert np.array_equal(first.signs, signs_copy)
     assert np.array_equal(first.W, second.W)
-    assert _no_buffers()
+    refs = made[threading.current_thread()]
+    assert len(refs) == 2 and _released(refs)
 
 
-def test_two_threads_keep_their_own_buffers(p1, p2):
+def test_two_threads_keep_their_own_buffers(monkeypatch, p1, p2):
     # Two datasets of one shape (any rows of white data are white), so a
-    # pair shared across threads would be written by both.
+    # pass shared across threads would be written by both.
     layouts = (p2[:25], p2[25:])
     sequential = [_bits(run_ogextinf(X, _OG)) for X in layouts]
+    made = _spy_passes(monkeypatch)
     results = [None, None]
 
     def solve(k):
-        results[k] = _bits(run_ogextinf(layouts[k], _OG)), _no_buffers()
+        bits = _bits(run_ogextinf(layouts[k], _OG))
+        refs = made[threading.current_thread()]
+        results[k] = bits, len(refs) == 1 and _released(refs)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
