@@ -28,7 +28,7 @@ from .exceptions import (
     ParameterError,
     ValidationError,
 )
-from .extinf import GradientConfig, run_extinf
+from .extinf import GradientConfig, _extinf
 from .matrixio import read_matrix, write_matrix
 from .metrics import (
     RunRecord,
@@ -36,13 +36,8 @@ from .metrics import (
     amari_distance,
     composed_unmixing,
 )
-from .ogextinf import IterationConfig, random_orthogonal, run_ogextinf
-from .preprocess import (
-    _null_tolerance,
-    _whiten_in_place,
-    apply_whitening,
-    fit_whitening,
-)
+from .ogextinf import IterationConfig, _ogextinf, random_orthogonal
+from .preprocess import _null_tolerance, _whiten_in_place
 from .simulate import (
     GENERATOR_NAME,
     ExperimentSpec,
@@ -262,15 +257,17 @@ def cmd_simulate(args, parser: _Parser) -> int:
 def _solve(algorithm: str, whitened: np.ndarray, *, tolerance: float,
            max_iterations: int, cutoff: int, learning_rate: float,
            initial_W: np.ndarray | None = None):
-    """Run one algorithm and return its :class:`ICAResult`."""
+    """Run one algorithm's core: its result without the sources, which no
+    command writes."""
+    X = as_data_matrix(whitened, name="whitened")
     if algorithm == "ogextinf":
         config = IterationConfig(
             max_iterations=max_iterations, tolerance=tolerance,
             sign_rule_sample_cutoff=cutoff, initial_W=initial_W)
-        return run_ogextinf(whitened, config)
+        return _ogextinf(X, config, strict=True)
     config = GradientConfig(learning_rate=learning_rate,
                             max_iterations=max_iterations, tolerance=tolerance)
-    return run_extinf(whitened, config, cutoff=cutoff)
+    return _extinf(X, config, cutoff)
 
 
 def cmd_decompose(args, parser: _Parser) -> int:
@@ -284,7 +281,6 @@ def cmd_decompose(args, parser: _Parser) -> int:
     tic = time.perf_counter()
     model, whitened = _whiten_in_place(data, args.pca_variance)
     whitening_seconds = time.perf_counter() - tic
-    del data  # the solve needs only the whitened copy
     m = model.retained
 
     initial = (random_orthogonal(m, np.random.default_rng(seed))
@@ -350,8 +346,7 @@ def _benchmark_run(spec: ExperimentSpec, run_index: int, *,
     of :func:`_solve`).  Top-level so worker processes can import it;
     returns plain dicts so results cross process boundaries cheaply."""
     dataset = make_dataset(spec, run_index)
-    model = fit_whitening(dataset.observed, 0.0)
-    whitened = apply_whitening(model, dataset.observed)
+    model, whitened = _whiten_in_place(as_data_matrix(dataset.observed), 0.0)
     records = []
     curves = {}
     for algo in algorithms:

@@ -19,12 +19,12 @@ from .ogextinf import (
     _SIGN_CUTOFF,
     ICAResult,
     _Pass,
+    _Solution,
     _as_pass,
     _check_cutoff,
     _check_stopping_rule,
     _check_whitened,
     _iterate,
-    select_signs,
     weight_change,
 )
 from .validation import as_data_matrix, as_square_matrix
@@ -106,11 +106,18 @@ def run_extinf(whitened, config: GradientConfig | None = None,
     Stops when the Frobenius weight change drops to ``tolerance`` or
     after ``max_iterations`` passes.  The input is expected to be
     whitened (this markedly improves convergence); a clearly non-white
-    input only triggers a warning here, never a rejection.
+    input only triggers a warning here, never a rejection.  The result's
+    signs are those the sign rule picks at the final ``W``.
     """
     cfg = config if config is not None else GradientConfig()
     _check_cutoff(cutoff)
     X = as_data_matrix(whitened, name="whitened")
+    return _extinf(X, cfg, cutoff).with_sources(X)
+
+
+def _extinf(X: np.ndarray, cfg: GradientConfig, cutoff: int) -> _Solution:
+    """:func:`run_extinf` on a validated X, without the sources; the signs
+    are those of one more pass at the final ``W``."""
     data = _Pass(X)
     _check_whitened(data.cov, strict=False)
 
@@ -123,13 +130,5 @@ def run_extinf(whitened, config: GradientConfig | None = None,
 
     (W, last_cfg), record = _iterate(step, (np.eye(X.shape[0]), cfg),
                                      cfg.max_iterations, cfg.tolerance)
-    del data  # the pass and its scratches go before the sources come
-    sources = W @ X
-    return ICAResult(
-        W=W,
-        sources=sources,
-        signs=select_signs(sources, cutoff),
-        record=record,
-        elapsed_total=float(sum(record.elapsed)),
-        learning_rate=last_cfg.learning_rate,
-    )
+    return _Solution(W=W, signs=data(W, cutoff)[1], record=record,
+                     learning_rate=last_cfg.learning_rate)

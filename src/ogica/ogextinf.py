@@ -13,13 +13,19 @@ from the data on every iteration.
 Both solvers get the signs and ``R`` from one streaming pass over the data
 ``X``, a :class:`_Pass` that a run builds once (validating ``X`` once) and
 hands to every step in place of the data.  The pass walks ``X`` in blocks
-of columns that fit a scratch of about 1 MiB: per block it forms
+of columns that fit a scratch of at most 256 KiB: per block it forms
 ``S_c = W X_c``, adds the sign rule's per-row sums, takes ``tanh(S_c)`` in
 place and accumulates ``G += tanh(S_c) X_c^T``.  Since ``S = W X`` and
 ``phi(S) S^T = S S^T + K tanh(S) S^T``, the signs then act only through
 ``R = W C W^T + K G W^T / t`` with ``C = X X^T / t`` formed once per run,
 so a step holds ``X`` and two blocks and never an m x t matrix.  A step
 called with an array builds a pass of its own.
+
+Each run has a private core that returns ``W``, the signs and the
+convergence record, and no m x t matrix either: OgExtInf keeps its last
+step's signs, and the baseline takes one more pass at its final ``W``.
+The public runs add the sources ``W X``; the CLI calls the cores, since
+it never writes the sources.
 
 There is no learning rate anywhere in this scheme; the iteration either
 sits at a fixed point (``R = I``, the Bussgang condition for independent
@@ -58,11 +64,14 @@ _TINY = np.finfo(float).tiny
 # Default sample count at which every sign rule switches to kurtosis.
 _SIGN_CUTOFF = 1000
 # Size of the scratch in which the kernels walk a matrix, in blocks of
-# rows (or, in a pass, of columns) of at most this many bytes and at least
-# one row or column.  Smaller blocks pay numpy's per-call overhead too
-# often: at 20 x 5000, which stays one block here, 128 KiB blocks add about
-# 20% to the kernel time and 64 KiB ones (one row) about 85%.
-_BLOCK_BYTES = 1 << 20
+# rows (or, in a pass or in whitening, of columns) of at most this many
+# bytes and at least one row or column.  Smaller blocks pay numpy's
+# per-call overhead more often.  Interleaved medians of 21 rounds of one
+# pass (2 CPUs, one BLAS thread) put 256 KiB level with 1 MiB (1042
+# against 1085 us at 20 x 5000, 5665 against 5620 us at 50 x 10000),
+# 128 KiB 1-3% above and 64 KiB 10-20% above.  The row blocks of
+# select_signs, which no run calls, take 17-19% longer than at 1 MiB.
+_BLOCK_BYTES = 1 << 18
 # A pass needs no finiteness scan of ``W X`` when the largest row sum of
 # ``|W|`` times ``max|X|`` is below this, since that bounds every entry.
 _FINITE_BOUND = 1e300
@@ -146,6 +155,31 @@ class ICAResult:
     @property
     def converged(self) -> bool:
         return self.record.converged
+
+
+@dataclass(frozen=True)
+class _Solution:
+    """What a run's core finds: an :class:`ICAResult` without the m x t
+    sources, which ``decompose`` and ``benchmark`` never use."""
+
+    W: np.ndarray
+    signs: np.ndarray
+    record: ConvergenceRecord
+    learning_rate: float | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.record.converged
+
+    @property
+    def elapsed_total(self) -> float:
+        return float(sum(self.record.elapsed))
+
+    def with_sources(self, X: np.ndarray) -> ICAResult:
+        """The public result of the run over ``X``."""
+        return ICAResult(W=self.W, sources=self.W @ X, signs=self.signs,
+                         record=self.record, elapsed_total=self.elapsed_total,
+                         learning_rate=self.learning_rate)
 
 
 def phi(values, k) -> np.ndarray:
@@ -370,8 +404,8 @@ def select_signs(sources, cutoff: int = _SIGN_CUTOFF) -> np.ndarray:
 
     Uses the rule of :func:`select_sign_stability` when the matrix has
     fewer than ``cutoff`` samples and that of :func:`select_sign_kurtosis`
-    otherwise, for all rows, in blocks of rows of a scratch of about
-    1 MiB.
+    otherwise, for all rows, in blocks of rows of a scratch of at most
+    256 KiB.
     """
     _check_cutoff(cutoff)
     S = as_data_matrix(sources, name="sources")
@@ -512,7 +546,7 @@ def _check_whitened(cov: np.ndarray, strict: bool) -> None:
                f"from the identity by {err:.3e} (limit {_WHITENESS_TOL:g})")
         if strict:
             raise ValidationError(msg)
-        warnings.warn(msg, stacklevel=3)
+        warnings.warn(msg, stacklevel=4)
 
 
 def _iterate(step, state, max_iterations: int, tolerance: float):
@@ -572,6 +606,13 @@ def run_ogextinf(whitened, config: IterationConfig | None = None, *,
     """
     cfg = config if config is not None else IterationConfig()
     X = as_data_matrix(whitened, name="whitened")
+    return _ogextinf(X, cfg, strict).with_sources(X)
+
+
+def _ogextinf(X: np.ndarray, cfg: IterationConfig, strict: bool
+              ) -> _Solution:
+    """:func:`run_ogextinf` on a validated X, without the sources; the
+    signs are those of the last step."""
     m = X.shape[0]
     data = _Pass(X)
     _check_whitened(data.cov, strict)
@@ -587,11 +628,4 @@ def run_ogextinf(whitened, config: IterationConfig | None = None, *,
 
     state, record = _iterate(step, UnmixingState(W=W0, signs=np.ones(m)),
                              cfg.max_iterations, cfg.tolerance)
-    del data  # the pass and its scratches go before the sources come
-    return ICAResult(
-        W=state.W,
-        sources=state.W @ X,
-        signs=state.signs,
-        record=record,
-        elapsed_total=float(sum(record.elapsed)),
-    )
+    return _Solution(W=state.W, signs=state.signs, record=record)

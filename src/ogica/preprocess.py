@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateDataError, ParameterError, ValidationError
+from .ogextinf import _BLOCK_BYTES
 from .validation import as_data_matrix
 
 # Eigenvalues are clamped at this fraction of the largest one before the
@@ -100,17 +101,55 @@ def _whiten_in_place(data: np.ndarray, variance_threshold: float | None
                      ) -> tuple[WhiteningModel, np.ndarray]:
     """Fit a whitening model to ``data`` and return it with the whitened
     data, bit for bit what :func:`fit_whitening` then
-    :func:`apply_whitening` give, without their two centred copies.
+    :func:`apply_whitening` give, without their centred copy or a
+    second m x t matrix.
 
     ``data`` must be a float64 matrix that passed
-    :func:`~ogica.validation.as_data_matrix` and that the caller owns:
-    it is centred in place and ends up holding the centred data.
-    ``variance_threshold`` is not checked.
+    :func:`~ogica.validation.as_data_matrix` and that the caller owns.
+    It is centred in place, and the whitened m x t result is written over
+    its first ``m t`` elements and returned as a view of them (of a copy
+    when ``data`` is not C-contiguous); the rest of the buffer is left
+    holding centred data.  ``variance_threshold`` is not checked.
     """
     mean = data.mean(axis=1)
     data -= mean[:, None]
     model = _fit_centered(data, mean, variance_threshold)
-    return model, model.whitener @ data
+    out = data.reshape(-1)[:model.retained * data.shape[1]]
+    out = out.reshape(model.retained, -1)
+    _project(model.whitener, data, out)
+    return model, out
+
+
+def _project(whitener: np.ndarray, data: np.ndarray, out: np.ndarray,
+             mean: np.ndarray | None = None) -> None:
+    """Write ``whitener @ (data - mean)`` into the m x t ``out``, one block
+    of columns of ``data`` (at most ``_BLOCK_BYTES``, at least one
+    column) at a time.
+
+    With a ``mean``, each centred block goes through the scratch and its
+    product straight into ``out``, which must not overlap ``data``.
+    Without one, ``data`` is already centred and ``out`` may be the
+    first ``m t`` elements of its buffer: rows of the same length put
+    block c of ``out`` inside block c of ``data``, and each product goes
+    through the scratch, so no block is overwritten before it is read.
+    """
+    n, t = data.shape
+    m = whitener.shape[0]
+    cols = min(t, max(1, _BLOCK_BYTES // (8 * n)))
+    scratch = np.empty(n * cols)
+    for c in range(0, t, cols):
+        block = data[:, c:c + cols]
+        buf = scratch[:block.size].reshape(n, -1)
+        if mean is None:
+            np.matmul(whitener, block, out=buf[:m])
+            out[:, c:c + cols] = buf[:m]
+        else:
+            # Copied, then centred in place: centring the strided block
+            # straight into the scratch makes the ufunc buffer twice as
+            # much.
+            np.copyto(buf, block)
+            buf -= mean[:, None]
+            np.matmul(whitener, buf, out=out[:, c:c + cols])
 
 
 def _null_tolerance(shape: tuple[int, int]) -> float:
@@ -163,10 +202,14 @@ def _fit_centered(centered: np.ndarray, mean: np.ndarray,
 
 
 def apply_whitening(model: WhiteningModel, data) -> np.ndarray:
-    """Project ``data`` through a fitted model: ``whitener @ (data - mean)``."""
+    """Project ``data`` through a fitted model: ``whitener @ (data - mean)``,
+    centred one block of columns at a time, so the result is the only
+    m x t matrix made."""
     arr = as_data_matrix(data, min_samples=1)
     if arr.shape[0] != model.n_channels:
         raise ValidationError(
             f"data has {arr.shape[0]} rows but the model was fitted on "
             f"{model.n_channels} channels")
-    return model.whitener @ (arr - model.mean[:, None])
+    out = np.empty((model.retained, arr.shape[1]))
+    _project(model.whitener, arr, out, model.mean)
+    return out

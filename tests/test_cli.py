@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from ogica import (
     ValidationError,
     make_dataset,
     read_matrix,
+    write_matrix,
 )
 from ogica.cli import _ALGORITHMS, build_parser, load_report, main
 
@@ -254,6 +256,24 @@ def test_decompose_default_keeps_every_source(tmp_path):
     assert payload["whitening"]["rule_threshold"] == 5000 * np.finfo(float).eps
     assert payload["config"]["pca_variance"] is None
     assert payload["result"]["converged"] is True
+
+
+def test_decompose_peak_memory_is_below_two_copies(tmp_path):
+    # The read fills one matrix, whitening writes into it and the solve
+    # forms no sources, so two m x t matrices are never alive at once.
+    values = np.random.default_rng(62).laplace(size=(50, 10000))
+    path = tmp_path / "wide.csv"
+    write_matrix(path, values)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = main(["decompose", str(path), "-o", str(tmp_path / "w.json"),
+                     "--max-iterations", "3"])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 4  # three iterations do not converge
+    assert peak <= 1.6 * values.nbytes
 
 
 def test_decompose_single_channel(tmp_path):

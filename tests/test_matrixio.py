@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ogica import MatrixParseError, format_matrix, read_matrix, write_matrix
+from ogica import matrixio
 
 _EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
              1.7976931348623157e308, -1.7976931348623157e308]
@@ -145,6 +146,103 @@ def test_read_non_ascii_cell(tmp_path):
     assert excinfo.value.row == 2
     assert excinfo.value.column == 2
     assert str(excinfo.value).startswith("row 2, column 2: not a number")
+
+
+# Junk cells are made of pieces of numbers, near-numbers and junk:
+# digits, signs, exponents, underscores (which ``float`` takes and
+# ``loadtxt`` does not), comment marks, whitespace and control bytes
+# (0x1c ``loadtxt`` strips and ``float`` does not), nan/inf, and a byte
+# outside ASCII.
+_PIECES = [b"0", b"1", b"7", b"9", b".", b"e", b"+", b"-", b"_", b"#", b" ",
+           b"\t", b"\x0c", b"\x1c", b"\x00", b"nan", b"inf", b"\xe9"]
+_junk = st.lists(st.sampled_from(_PIECES), max_size=4).map(b"".join)
+_number = st.floats().map(lambda v: repr(v).encode("ascii"))
+
+
+@st.composite
+def _csv_bytes(draw):
+    """A grid of reprs of doubles with up to two cells replaced by junk
+    and up to two rows redrawn at any width (none: a blank line), its
+    lines ended by LF, CRLF or a lone CR, the last one perhaps unended."""
+    n, width = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rows = [draw(st.lists(_number, min_size=width, max_size=width))
+            for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, n - 1))] = draw(st.lists(_number,
+                                                          max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, n - 1))]
+        if row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_junk)
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]),
+                         min_size=n, max_size=n))
+    text = b"".join(b",".join(row) + end for row, end in zip(rows, ends))
+    return text[:-1] if draw(st.booleans()) else text
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except MatrixParseError as exc:
+        return exc.row, exc.column, str(exc)
+
+
+@settings(deadline=None, max_examples=500)
+@given(_csv_bytes())
+def test_read_equals_the_hand_parser(tmp_path_factory, raw):
+    # loadtxt's result, where it stands, has the hand parser's bits, and
+    # everywhere else the same MatrixParseError comes out.
+    path = tmp_path_factory.mktemp("differential") / "m.csv"
+    path.write_bytes(raw)
+    got = _outcome(read_matrix, path)
+    expected = _outcome(matrixio._parse, path)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and _same_bits(got, expected)
+
+
+@pytest.mark.parametrize("gap", [b"", b"\r\n"])
+def test_read_counts_a_crlf_across_the_count_chunk(tmp_path, gap):
+    # The line count reads 64 KiB chunks: a CRLF split between two is one
+    # line end, and a blank line after it still sends the read to the
+    # hand parser.
+    first = b"1," * 32767 + b"1"  # 65535 bytes, so its CR is the last
+    path = tmp_path / "m.csv"
+    path.write_bytes(first + b"\r\n" + gap + first + b"\n")
+    assert matrixio._plain_lines(path) == (3 if gap else 2)
+    got = _outcome(read_matrix, path)
+    expected = _outcome(matrixio._parse, path)
+    if gap:
+        assert got == expected == (2, None, "row 2 has 1 cells, expected "
+                                   "32768")
+    else:
+        assert _same_bits(got, np.ones((2, 32768)))
+
+
+def test_read_keeps_the_loadtxt_result(tmp_path, monkeypatch):
+    # A well-formed file is parsed once, by loadtxt, with the same bits.
+    values = np.random.default_rng(14).standard_normal((6, 9))
+    values[0, :3] = [-0.0, 5e-324, np.inf]
+    path = tmp_path / "m.csv"
+    write_matrix(path, values)
+
+    def refuse(path):
+        raise AssertionError("the hand parser ran on a well-formed file")
+
+    monkeypatch.setattr(matrixio, "_parse", refuse)
+    assert _same_bits(read_matrix(path), values)
+
+
+@pytest.mark.parametrize("byte", [b"\x1c", b"\x1d", b"\x1e", b"\x1f"])
+def test_read_cell_with_a_byte_only_loadtxt_strips(tmp_path, byte):
+    # loadtxt reads these bytes around a number as whitespace; float and
+    # the format do not.
+    path = tmp_path / "sep.csv"
+    path.write_bytes(b"1.0,2.0\n3.0," + byte + b"4.0\n")
+    with pytest.raises(MatrixParseError) as excinfo:
+        read_matrix(path)
+    assert (excinfo.value.row, excinfo.value.column) == (2, 2)
 
 
 def test_read_empty_file(tmp_path):

@@ -8,9 +8,9 @@ and returns ``R = W C W^T + K G W^T / t``.  Here ``R`` is checked against
 ``Phi(S) S^T / t`` with the pass's own signs, and the signs against
 :func:`select_signs` on every row whose criterion is not within rounding
 of zero, for passes that walk ``X`` in several blocks with a ragged last
-one.  A full run is checked to hold no more than its sources (and the
-closing sign rule's block) beside its data, and the gradient step to
-raise on an overflowing ``W X`` whether or not it may skip the scan.
+one.  A full run is checked to hold no more than its sources beside its
+data, and the gradient step to raise on an overflowing ``W X`` whether
+or not it may skip the scan.
 """
 
 import tracemalloc
@@ -130,14 +130,15 @@ def test_kernel_matches_select_signs_and_reference_R(case):
 
 @pytest.mark.parametrize("cutoff", [1000, 10 ** 6])
 def test_kernel_in_the_step_scratch_of_a_ragged_layout(cutoff):
-    # At 5 rows a 1 MiB scratch holds 26214 columns, so 60000 samples are
-    # walked as 26214 + 26214 + 7572; both sign rules.
+    # At 5 rows a 256 KiB scratch holds 6553 columns, so 60000 samples
+    # are walked as nine blocks of 6553 and a last one of 1023; both sign
+    # rules.
     rng = np.random.default_rng(3)
     X = np.vstack([rng.laplace(size=(3, 60000)),
                    rng.uniform(-2.0, 2.0, (2, 60000))])
     data = _Pass(X)
-    assert data.cols == 26214
-    assert [s.size for s in data.scratches] == [5 * 26214] * 2
+    assert data.cols == 6553
+    assert [s.size for s in data.scratches] == [5 * 6553] * 2
     W = random_orthogonal(5, rng)
     _check_pass(W, X, cutoff, data)
     # These rows are far from every rounding boundary: all signs agree.
@@ -155,12 +156,12 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-# Peak over the data's bytes: OgExtInf holds its two 1 MiB scratches
-# (0.52x at 50 x 10000) during the solve and only its sources (1x) after
-# it; the baseline also walks the sources with the sign rule's block
-# (0.26x) at the end.  An m x t buffer next to the scratches, or scratches
-# kept alive next to the sources, takes either past its bound.
-_PEAK_BOUND = {run_ogextinf: 1.1, run_extinf: 1.3}
+# Peak over the data's bytes: a run holds its two 256 KiB scratches
+# (0.13x at 50 x 10000) during the solve, the baseline's closing sign pass
+# included, and only its sources (1x) after it.  An m x t buffer next to
+# the scratches, or scratches kept alive next to the sources, takes either
+# past the bound.
+_PEAK_BOUND = 1.1
 
 
 @pytest.mark.parametrize("solve, config", [
@@ -170,7 +171,7 @@ def test_run_holds_sources_and_one_block(solve, config):
     raw = np.random.default_rng(12).laplace(size=(50, 10000))
     X = apply_whitening(fit_whitening(raw, 0.0), raw)
     peak = _traced_peak(lambda: solve(X, config))
-    assert peak <= _PEAK_BOUND[solve] * X.nbytes
+    assert peak <= _PEAK_BOUND * X.nbytes
 
 
 def _wide_rows(gain):

@@ -297,21 +297,36 @@ def test_whiten_in_place_equals_fit_then_apply(n, t, seed, offset, threshold,
         assert _same_bits(getattr(got_model, field.name),
                           getattr(model, field.name)), field.name
     assert _same_bits(got, expected)
-    # the caller's matrix is left holding the centred data
-    assert _same_bits(owned, center(data)[0])
+    # the whitened result occupies the first m t elements of the caller's
+    # buffer
+    assert _same_bits(owned.reshape(-1)[:got.size].reshape(got.shape),
+                      expected)
     assert len(got_warnings) == len(expected_warnings) == (1 if t <= n else 0)
 
 
-def test_whiten_in_place_peak_memory_is_one_array():
-    # fit_whitening then apply_whitening hold two centred copies and the
-    # result (about 2x the input's bytes); centring in place leaves only
-    # the result.
-    data = np.random.default_rng(13).standard_normal((50, 10000))
+def _traced_peak(call):
+    """``call()`` and the bytes it holds at its peak, by ``tracemalloc``."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _whiten_in_place(data, 0.0)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def test_whiten_in_place_writes_into_the_callers_buffer():
+    # Centring in place and writing each whitened block back over the
+    # data leaves only the fit and one block of scratch.
+    data = np.random.default_rng(13).standard_normal((50, 10000))
+    (_, got), peak = _traced_peak(lambda: _whiten_in_place(data, 0.0))
+    assert np.shares_memory(got, data)
+    assert peak <= 0.15 * data.nbytes
+
+
+def test_apply_whitening_peak_memory_is_its_result():
+    # Each block of columns is centred in a scratch, never the whole data.
+    data = np.random.default_rng(15).standard_normal((50, 10000))
+    model = fit_whitening(data, 0.0)
+    _, peak = _traced_peak(lambda: apply_whitening(model, data))
     assert peak <= 1.1 * data.nbytes
