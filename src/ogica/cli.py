@@ -446,13 +446,18 @@ def load_report(path: str | os.PathLike) -> dict:
 
     Recomputes the aggregate block from the stored per-run records and
     requires exact equality with the stored one; raises
-    :class:`ValidationError` if the report is internally inconsistent.
+    :class:`ValidationError` if the report is malformed or internally
+    inconsistent.
     """
     with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
-    records = [RunRecord(**rec) for rec in payload["records"]]
-    recomputed = aggregate(records).aggregates
-    if recomputed != payload["aggregates"]:
+        try:
+            payload = json.load(fh)
+            records = [RunRecord(**rec) for rec in payload["records"]]
+            consistent = aggregate(records).aggregates == payload["aggregates"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{path} is not a benchmark report: {exc!r}") from exc
+    if not consistent:
         raise ValidationError(
             f"stored aggregates in {path} do not match the per-run "
             "records")

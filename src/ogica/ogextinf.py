@@ -63,14 +63,12 @@ _ORTHO_TOL = 1e-6
 _TINY = np.finfo(float).tiny
 # Default sample count at which every sign rule switches to kurtosis.
 _SIGN_CUTOFF = 1000
-# Size of the scratch in which the kernels walk a matrix, in blocks of
-# rows (or, in a pass or in whitening, of columns) of at most this many
-# bytes and at least one row or column.  Smaller blocks pay numpy's
-# per-call overhead more often.  Interleaved medians of 21 rounds of one
-# pass (2 CPUs, one BLAS thread) put 256 KiB level with 1 MiB (1042
-# against 1085 us at 20 x 5000, 5665 against 5620 us at 50 x 10000),
-# 128 KiB 1-3% above and 64 KiB 10-20% above.  The row blocks of
-# select_signs, which no run calls, take 17-19% longer than at 1 MiB.
+# Size of the scratch in which a pass or whitening walks a matrix, in
+# blocks of columns of at most this many bytes and at least one column.
+# Smaller blocks pay numpy's per-call overhead more often.  Interleaved
+# medians of 21 rounds of one pass (2 CPUs, one BLAS thread) put 256 KiB
+# level with 1 MiB (1042 against 1085 us at 20 x 5000, 5665 against 5620
+# us at 50 x 10000), 128 KiB 1-3% above and 64 KiB 10-20% above.
 _BLOCK_BYTES = 1 << 18
 # A pass needs no finiteness scan of ``W X`` when the largest row sum of
 # ``|W|`` times ``max|X|`` is below this, since that bounds every entry.
@@ -219,76 +217,22 @@ def _kurtosis_rule(m2: np.ndarray, m4: np.ndarray) -> np.ndarray:
     return np.where(excess >= 0.0, 1.0, -1.0)
 
 
-def _stability_signs(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Stability-rule signs of the rows of S; leaves ``tanh(S)`` in T."""
+def _stability_signs(S: np.ndarray) -> np.ndarray:
+    """Stability-rule signs of the rows of S."""
     t = S.shape[1]
-    np.tanh(S, out=T)
+    T = np.tanh(S)
     return _stability_rule(np.einsum("ij,ij->i", T, T) / t,
                            np.einsum("ij,ij->i", S, S) / t,
                            np.einsum("ij,ij->i", T, S) / t)
 
 
-def _kurtosis_signs(S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Kurtosis-rule signs of the rows of S, with T as scratch."""
-    np.subtract(S, S.mean(axis=1, keepdims=True), out=T)
+def _kurtosis_signs(S: np.ndarray) -> np.ndarray:
+    """Kurtosis-rule signs of the rows of S."""
+    D = S - S.mean(axis=1, keepdims=True)
     with np.errstate(over="ignore"):
-        np.multiply(T, T, out=T)
-    return _kurtosis_rule(T.mean(axis=1),
-                          np.einsum("ij,ij->i", T, T) / S.shape[1])
-
-
-def _signs(S: np.ndarray, T: np.ndarray, cutoff: int) -> np.ndarray:
-    """Signs under the rule that t picks: stability below the cutoff."""
-    rule = _stability_signs if S.shape[1] < cutoff else _kurtosis_signs
-    return rule(S, T)
-
-
-def _scratch(shape: tuple[int, int]) -> np.ndarray:
-    """A scratch for walking an m x t matrix in blocks of rows: as many
-    rows as fit ``_BLOCK_BYTES``, at least one and at most m."""
-    m, t = shape
-    return np.empty((min(m, max(1, _BLOCK_BYTES // (8 * t))), t))
-
-
-def _row_blocks(S: np.ndarray, T: np.ndarray):
-    """Walk S in blocks of as many rows as the scratch T has, yielding
-    each block's row slice, its rows of S and as many rows of T."""
-    b = T.shape[0]
-    for i in range(0, S.shape[0], b):
-        Sb = S[i:i + b]
-        yield slice(i, i + b), Sb, T[:Sb.shape[0]]
-
-
-def _phi_rows(S: np.ndarray, T: np.ndarray, cutoff: int,
-              signs: np.ndarray | None = None) -> np.ndarray:
-    """Overwrite the finite S with ``Phi(S)``, one block of the scratch T
-    at a time, and return the signs: those given, else the rule's.
-
-    Bit for bit ``S + k tanh(S)``: scaling by +-1 is exact and addition
-    commutes.  The rule's signs are those of :func:`select_signs`, since
-    every reduction is per row.
-    """
-    ruled = signs is None
-    signs = np.empty(S.shape[0]) if ruled else signs
-    tanh_left = ruled and S.shape[1] < cutoff  # the stability rule's scratch
-    for rows, Sb, Tb in _row_blocks(S, T):
-        if ruled:
-            signs[rows] = _signs(Sb, Tb, cutoff)
-        if not tanh_left:
-            np.tanh(Sb, out=Tb)
-        Tb *= signs[rows, None]
-        Sb += Tb
-    return signs
-
-
-def _phi_cov(S: np.ndarray, cutoff: int,
-             signs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Unchecked signs (those given, else the rule's) and higher-order
-    covariance ``(1/t) Phi(S) S^T`` of a finite S (t >= 2 for the rule),
-    with ``Phi(S)`` formed in a copy so that S is left intact."""
-    P = S.copy()
-    signs = _phi_rows(P, _scratch(S.shape), cutoff, signs)
-    return P @ S.T / S.shape[1], signs
+        D *= D
+    return _kurtosis_rule(D.mean(axis=1),
+                          np.einsum("ij,ij->i", D, D) / S.shape[1])
 
 
 class _Pass:
@@ -385,8 +329,7 @@ def select_sign_stability(component) -> float:
     This is the estimator of choice for short sequences, where sample
     kurtosis is too noisy.
     """
-    S = _component(component)
-    return float(_stability_signs(S, np.empty_like(S))[0])
+    return float(_stability_signs(_component(component))[0])
 
 
 def select_sign_kurtosis(component) -> float:
@@ -395,8 +338,7 @@ def select_sign_kurtosis(component) -> float:
     Positive (or zero) excess kurtosis maps to ``+1``, negative to
     ``-1``.  Moments are central sample moments with 1/t normalization.
     """
-    S = _component(component)
-    return float(_kurtosis_signs(S, np.empty_like(S))[0])
+    return float(_kurtosis_signs(_component(component))[0])
 
 
 def select_signs(sources, cutoff: int = _SIGN_CUTOFF) -> np.ndarray:
@@ -404,21 +346,19 @@ def select_signs(sources, cutoff: int = _SIGN_CUTOFF) -> np.ndarray:
 
     Uses the rule of :func:`select_sign_stability` when the matrix has
     fewer than ``cutoff`` samples and that of :func:`select_sign_kurtosis`
-    otherwise, for all rows, in blocks of rows of a scratch of at most
-    256 KiB.
+    otherwise, for all rows.  Holds one m x t temporary.
     """
     _check_cutoff(cutoff)
     S = as_data_matrix(sources, name="sources")
-    return np.concatenate([_signs(Sb, Tb, cutoff) for _, Sb, Tb
-                           in _row_blocks(S, _scratch(S.shape))])
+    rule = _stability_signs if S.shape[1] < cutoff else _kurtosis_signs
+    return rule(S)
 
 
 def higher_order_cov(sources, signs) -> np.ndarray:
     """Higher-order covariance ``(1/t) Phi(S) S^T``.
 
     ``Phi`` applies :func:`phi` to each row with that row's sign, formed
-    in a copy of the sources (``tanh`` one block of rows at a time)
-    before a single matrix product.
+    in one m x t temporary before a single matrix product.
     The 1/t factor keeps entries O(1) regardless of the sample count; it
     has no effect on the algorithm because the subsequent
     orthogonalization cancels any positive scaling of this matrix.
@@ -430,7 +370,10 @@ def higher_order_cov(sources, signs) -> np.ndarray:
             f"got {k.shape[0]} signs for {S.shape[0]} source rows")
     if not np.all((k == 1.0) | (k == -1.0)):
         raise ParameterError("signs must contain only +1 and -1")
-    return _phi_cov(S, _SIGN_CUTOFF, k)[0]
+    P = np.tanh(S, order="C")  # the product's bits depend on the layout
+    P *= k[:, None]
+    P += S
+    return P @ S.T / S.shape[1]
 
 
 def _polar(M: np.ndarray) -> np.ndarray:
@@ -513,13 +456,15 @@ def update_step(state: UnmixingState, whitened,
 
 
 def apply_unmixing(W, data) -> np.ndarray:
-    """Estimated sources ``S = W D``."""
+    """Estimated sources ``S = W D`` for a finite W."""
     W_arr = np.asarray(W, dtype=float)
     arr = as_data_matrix(data, min_samples=1)
     if W_arr.ndim != 2 or W_arr.shape[1] != arr.shape[0]:
         raise ValidationError(
             f"W with shape {W_arr.shape} cannot be applied to data with "
             f"{arr.shape[0]} rows")
+    if not np.all(np.isfinite(W_arr)):
+        raise ValidationError("W contains non-finite entries")
     return W_arr @ arr
 
 

@@ -395,6 +395,20 @@ def test_benchmark_tampered_report_detected(benchmark_out, tmp_path):
         load_report(doctored)
 
 
+def test_malformed_report_is_validation_error(benchmark_out, tmp_path):
+    report, _ = benchmark_out
+    payload = json.loads(report.read_text())
+    unknown_field = [{**payload["records"][0], "speed": 1.0}]
+    for name, content in (("unknown_field", {**payload,
+                                             "records": unknown_field}),
+                          ("no_records", {"aggregates": 0}),
+                          ("top_level_list", [payload])):
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(content))
+        with pytest.raises(ValidationError, match="not a benchmark report"):
+            load_report(bad)
+
+
 def test_benchmark_curves_long_format(benchmark_out):
     report, curves = benchmark_out
     payload = json.loads(report.read_text())

@@ -580,6 +580,17 @@ def test_apply_unmixing_dimension_mismatch():
         apply_unmixing(np.eye(3), np.ones((2, 4)))
 
 
+def test_apply_unmixing_refuses_non_finite_W():
+    data = np.ones((2, 4))
+    W = np.eye(2)
+    W[1, 0] = np.inf
+    for bad in (np.full((2, 2), np.nan), W, np.array([[1.0, -np.inf]])):
+        with pytest.raises(ValidationError, match="non-finite"):
+            apply_unmixing(bad, data)
+    # A finite W with fewer rows than D still picks out sources.
+    assert np.array_equal(apply_unmixing([[0.0, 1.0]], data), data[1:])
+
+
 def test_random_orthogonal_properties():
     rng = np.random.default_rng(55)
     for m in (1, 2, 5, 8):

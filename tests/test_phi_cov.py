@@ -1,11 +1,12 @@
-"""Property tests of the fused sign and higher-order-covariance kernel.
+"""Property tests of the public sign rule and higher-order covariance.
 
-``_phi_cov`` computes the per-row nonlinearity signs and
-``R = (1/t) Phi(S) S^T`` for a whole matrix in one work buffer.  Here it
-is checked against per-row textbook formulas: the signs wherever the
-textbook criterion is clear of zero (last-bit differences between the
-vectorised and the per-row reductions may only flip a knife-edge tie),
-and ``R`` bit for bit.
+:func:`select_signs` picks the per-row nonlinearity signs of a whole
+matrix and :func:`higher_order_cov` forms ``R = (1/t) Phi(S) S^T`` with
+given signs.  Here they are checked against per-row textbook formulas:
+the signs wherever the textbook criterion is clear of zero (last-bit
+differences between the vectorised and the per-row reductions may only
+flip a knife-edge tie), and ``R`` bit for bit, for the rule's signs and
+their negation.
 """
 
 import warnings
@@ -22,7 +23,6 @@ from ogica import (
     select_sign_kurtosis,
     select_signs,
 )
-from ogica.ogextinf import _phi_cov
 
 # Relative margin by which a textbook criterion must clear zero before
 # its sign is compared.
@@ -78,12 +78,9 @@ def test_signs_match_per_row_reference(case):
         criteria = [_excess_kurtosis(row) for row in S]
         if any(c is None for c in criteria):
             with pytest.raises(DegenerateComponentError):
-                _phi_cov(S, cutoff)
-            with pytest.raises(DegenerateComponentError):
                 select_signs(S, cutoff)
             return
-    R, signs = _phi_cov(S, cutoff)
-    assert np.array_equal(select_signs(S, cutoff), signs)
+    signs = select_signs(S, cutoff)
     assert set(signs.tolist()) <= {1.0, -1.0}
     for sign, (value, size) in zip(signs, criteria):
         if abs(value) > _MARGIN * size:
@@ -95,12 +92,10 @@ def test_signs_match_per_row_reference(case):
 def test_R_is_bit_identical_to_reference(case):
     S, cutoff = case
     try:
-        R, signs = _phi_cov(S, cutoff)
+        signs = select_signs(S, cutoff)
     except DegenerateComponentError:
         return
-    expected = _reference_R(S, signs).view(np.uint64)
-    assert np.array_equal(R.view(np.uint64), expected)
-    # The public wrapper takes any signs, not only the rule's.
+    # Any signs are taken, not only the rule's.
     for k in (signs, -signs):
         assert np.array_equal(higher_order_cov(S, k).view(np.uint64),
                               _reference_R(S, k).view(np.uint64))
@@ -112,9 +107,9 @@ def test_zero_row_ties_to_plus_one_under_stability_rule():
     rng = np.random.default_rng(5)
     S = np.vstack([rng.laplace(size=500), np.zeros(500),
                    rng.uniform(-2.0, 2.0, 500)])
-    R, signs = _phi_cov(S, 1000)
+    signs = select_signs(S, 1000)
     assert np.array_equal(signs, [1.0, 1.0, -1.0])
-    assert np.array_equal(R[1], np.zeros(3))
+    assert np.array_equal(higher_order_cov(S, signs)[1], np.zeros(3))
 
 
 def test_constant_row_follows_stability_criterion():
@@ -123,14 +118,12 @@ def test_constant_row_follows_stability_criterion():
     S = np.full((1, 50), 0.75)
     value, _ = _stability_criterion(S[0])
     assert value < 0
-    assert np.array_equal(_phi_cov(S, 1000)[1], [-1.0])
+    assert np.array_equal(select_signs(S, 1000), [-1.0])
 
 
 def test_zero_variance_row_raises_under_kurtosis_rule():
     rng = np.random.default_rng(6)
     S = np.vstack([rng.laplace(size=1000), np.full(1000, 2.5)])
-    with pytest.raises(DegenerateComponentError):
-        _phi_cov(S, 1000)
     with pytest.raises(DegenerateComponentError):
         select_signs(S, 1000)
 
@@ -148,7 +141,8 @@ def test_variance_out_of_range_raises_under_kurtosis_rule():
             with pytest.raises(DegenerateComponentError):
                 select_sign_kurtosis(bad)
             with pytest.raises(DegenerateComponentError):
-                _phi_cov(np.vstack([np.tile([1.0, -1.0, 0.5], 3), bad]), 1)
+                select_signs(
+                    np.vstack([np.tile([1.0, -1.0, 0.5], 3), bad]), 1)
     assert select_sign_kurtosis(row * 1e160) == 1.0
 
 
@@ -181,4 +175,4 @@ def test_kurtosis_rule_near_zero_excess():
         row[:k // 2], row[k // 2:k] = 1.0, -1.0
         rows.append(row)
     S = np.vstack(rows)
-    assert np.array_equal(_phi_cov(S, 1000)[1], [1.0, -1.0])
+    assert np.array_equal(select_signs(S, 1000), [1.0, -1.0])
