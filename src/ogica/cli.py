@@ -133,7 +133,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--n-sub", type=int,
                      help="number of uniform (sub-Gaussian) sources")
     sim.add_argument("--samples", type=int, help="samples per source")
-    sim.add_argument("--seed", type=int, default=None,
+    sim.add_argument("--seed", type=_INDEX, default=None,
                      help="base seed (default: $OGICA_SEED or 0)")
     sim.add_argument("--run", type=_INDEX, default=0,
                      help="run index within the seed's family (default 0)")
@@ -159,7 +159,7 @@ def build_parser() -> _Parser:
     dec.add_argument("--init", choices=("identity", "random"),
                      default="identity",
                      help="initial unmixing matrix (default identity)")
-    dec.add_argument("--seed", type=int, default=None,
+    dec.add_argument("--seed", type=_INDEX, default=None,
                      help="seed for --init random (default: $OGICA_SEED "
                           "or 0)")
     dec.set_defaults(func=cmd_decompose)
@@ -173,7 +173,7 @@ def build_parser() -> _Parser:
     ben.add_argument("--algorithms", type=_algorithm_list,
                      default=",".join(_ALGORITHMS),
                      help="comma-separated subset of: %(default)s")
-    ben.add_argument("--seed", type=int, default=None,
+    ben.add_argument("--seed", type=_INDEX, default=None,
                      help="base seed (default: $OGICA_SEED or 0)")
     _add_solver_flags(ben, cap=1000)
     ben.add_argument("--jobs", type=_COUNT, default=1,
@@ -193,9 +193,10 @@ def _resolve_seed(args, parser: _Parser) -> int:
     env = os.environ.get("OGICA_SEED")
     if env:
         try:
-            return int(env)
-        except ValueError:
-            parser.error(f"OGICA_SEED must be an integer, got {env!r}")
+            return _INDEX(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            parser.error(
+                f"OGICA_SEED must be a non-negative integer, got {env!r}")
     return DEFAULT_SEED
 
 
@@ -257,17 +258,16 @@ def cmd_simulate(args, parser: _Parser) -> int:
 def _solve(algorithm: str, whitened: np.ndarray, *, tolerance: float,
            max_iterations: int, cutoff: int, learning_rate: float,
            initial_W: np.ndarray | None = None):
-    """Run one algorithm's core: its result without the sources, which no
-    command writes."""
-    X = as_data_matrix(whitened, name="whitened")
+    """Run one algorithm's core, unchecked, on data validated before its
+    whitening: its result without the sources, which no command writes."""
     if algorithm == "ogextinf":
         config = IterationConfig(
             max_iterations=max_iterations, tolerance=tolerance,
             sign_rule_sample_cutoff=cutoff, initial_W=initial_W)
-        return _ogextinf(X, config, strict=True)
+        return _ogextinf(whitened, config, strict=True)
     config = GradientConfig(learning_rate=learning_rate,
                             max_iterations=max_iterations, tolerance=tolerance)
-    return _extinf(X, config, cutoff)
+    return _extinf(whitened, config, cutoff)
 
 
 def cmd_decompose(args, parser: _Parser) -> int:

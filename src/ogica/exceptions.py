@@ -58,19 +58,14 @@ class SingularUpdateError(NumericalError):
     ``condition`` carries the offending condition-number estimate.
     """
 
-    def __init__(self, message: str, *, condition: float | None = None,
-                 iteration: int | None = None) -> None:
+    def __init__(self, message: str, *, condition: float | None = None
+                 ) -> None:
         super().__init__(message)
         self.condition = condition
-        self.iteration = iteration
 
 
 class DivergenceError(NumericalError):
     """A gradient run produced non-finite weights and annealing ran out."""
-
-    def __init__(self, message: str, *, iteration: int | None = None) -> None:
-        super().__init__(message)
-        self.iteration = iteration
 
 
 class UndefinedMetricError(NumericalError):

@@ -20,7 +20,6 @@ from .ogextinf import (
     ICAResult,
     _Pass,
     _Solution,
-    _as_pass,
     _check_cutoff,
     _check_stopping_rule,
     _check_whitened,
@@ -70,24 +69,27 @@ def extinf_step(W, whitened, config: GradientConfig,
     ``W + eps G W`` for ``G = I - (1/t) Phi(S) S^T``, the Frobenius norm
     of the difference (which carries the eps factor) and the eps the step
     used after any halvings.  ``whitened`` is an array, which is
-    validated, or the pass of the running :func:`run_extinf`.  Raises
+    validated with ``W`` and ``cutoff``, or the pass of the running
+    :func:`run_extinf`, which trusts them: the run starts at the identity,
+    and each later ``W`` passed the finiteness check below.  Raises
     :class:`DivergenceError` when ``W X`` has a non-finite entry.
     """
-    _check_cutoff(cutoff)
-    W_arr = as_square_matrix(W, name="W")
-    data = _as_pass(whitened)
-    if W_arr.shape[0] != data.X.shape[0]:
-        raise ValidationError(
-            f"W is {W_arr.shape[0]}x{W_arr.shape[0]} but data has "
-            f"{data.X.shape[0]} rows")
-    G = np.eye(W_arr.shape[0]) - data(W_arr, cutoff)[0]
-    step_dir = G @ W_arr
+    if not isinstance(whitened, _Pass):
+        _check_cutoff(cutoff)
+        W = as_square_matrix(W, name="W")
+        whitened = _Pass(as_data_matrix(whitened, name="whitened"))
+        if W.shape[0] != whitened.X.shape[0]:
+            raise ValidationError(
+                f"W is {W.shape[0]}x{W.shape[0]} but data has "
+                f"{whitened.X.shape[0]} rows")
+    G = np.eye(W.shape[0]) - whitened(W, cutoff)[0]
+    step_dir = G @ W
     eps = config.learning_rate
     for attempt in range(_MAX_ANNEALS + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            W_next = W_arr + eps * step_dir
+            W_next = W + eps * step_dir
         if np.all(np.isfinite(W_next)):
-            change = weight_change(W_arr, W_next)
+            change = weight_change(W, W_next)
             if change <= config.blowup_threshold:
                 break
         if not config.anneal or attempt == _MAX_ANNEALS:

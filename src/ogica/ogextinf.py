@@ -19,7 +19,8 @@ place and accumulates ``G += tanh(S_c) X_c^T``.  Since ``S = W X`` and
 ``phi(S) S^T = S S^T + K tanh(S) S^T``, the signs then act only through
 ``R = W C W^T + K G W^T / t`` with ``C = X X^T / t`` formed once per run,
 so a step holds ``X`` and two blocks and never an m x t matrix.  A step
-called with an array builds a pass of its own.
+handed the run's pass checks nothing; one called with an array validates
+its arguments and builds a pass of its own.
 
 Each run has a private core that returns ``W``, the signs and the
 convergence record, and no m x t matrix either: OgExtInf keeps its last
@@ -134,28 +135,6 @@ class ConvergenceRecord:
 
 
 @dataclass(frozen=True)
-class ICAResult:
-    """Outcome of a full run, in whitened space.
-
-    ``W`` unmixes the (whitened) input that was handed to the run;
-    compose it with the whitening transform to unmix raw data.
-    ``learning_rate`` is the step size a natural-gradient run ended with
-    after any halvings; ``None`` for OgExtInf, which has none.
-    """
-
-    W: np.ndarray
-    sources: np.ndarray
-    signs: np.ndarray
-    record: ConvergenceRecord
-    elapsed_total: float
-    learning_rate: float | None = None
-
-    @property
-    def converged(self) -> bool:
-        return self.record.converged
-
-
-@dataclass(frozen=True)
 class _Solution:
     """What a run's core finds: an :class:`ICAResult` without the m x t
     sources, which ``decompose`` and ``benchmark`` never use."""
@@ -175,9 +154,20 @@ class _Solution:
 
     def with_sources(self, X: np.ndarray) -> ICAResult:
         """The public result of the run over ``X``."""
-        return ICAResult(W=self.W, sources=self.W @ X, signs=self.signs,
-                         record=self.record, elapsed_total=self.elapsed_total,
-                         learning_rate=self.learning_rate)
+        return ICAResult(**vars(self), sources=self.W @ X)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ICAResult(_Solution):
+    """Outcome of a full run, in whitened space.
+
+    ``W`` unmixes the (whitened) input that was handed to the run;
+    compose it with the whitening transform to unmix raw data.
+    ``learning_rate`` is the step size a natural-gradient run ended with
+    after any halvings; ``None`` for OgExtInf, which has none.
+    """
+
+    sources: np.ndarray
 
 
 def phi(values, k) -> np.ndarray:
@@ -306,13 +296,6 @@ class _Pass:
         return M + signs[:, None] * GW, signs
 
 
-def _as_pass(whitened) -> _Pass:
-    """The run's pass, or a fresh one over the validated array."""
-    if isinstance(whitened, _Pass):
-        return whitened
-    return _Pass(as_data_matrix(whitened, name="whitened"))
-
-
 def _component(component) -> np.ndarray:
     """A validated 1-D component as a 1 x t matrix."""
     s = as_vector(component, name="component")
@@ -438,14 +421,17 @@ def update_step(state: UnmixingState, whitened,
     higher-order covariance and applies :func:`multiplicative_update`.
     The returned state carries the new orthogonal ``W``, the signs used,
     an incremented iteration counter and the Frobenius weight change.
-    ``whitened`` is an array, which is validated, or the pass of the
-    running :func:`run_ogextinf`.
+    ``whitened`` is an array, validated with ``cutoff`` and ``state.W``,
+    or the running :func:`run_ogextinf`'s pass, which trusts them: the
+    run checked its first ``W``, and each later one is a polar factor.
     """
-    _check_cutoff(cutoff)
-    data = _as_pass(whitened)
-    W = as_square_matrix(state.W, name="state.W")
-    _check_orthogonal(W, data.X.shape[0], "state.W")
-    R, signs = data(W, cutoff)
+    W = state.W
+    if not isinstance(whitened, _Pass):
+        _check_cutoff(cutoff)
+        whitened = _Pass(as_data_matrix(whitened, name="whitened"))
+        W = as_square_matrix(W, name="state.W")
+        _check_orthogonal(W, whitened.X.shape[0], "state.W")
+    R, signs = whitened(W, cutoff)
     W_next = _polar(W.T @ R).T
     return UnmixingState(
         W=W_next,

@@ -87,6 +87,8 @@ def fit_whitening(data, variance_threshold: float | None = 0.0
     ------
     ParameterError
         If ``variance_threshold`` is neither ``None`` nor in ``[0, 1)``.
+    ValidationError
+        If the sample covariance of the (finite) data overflows.
     DegenerateDataError
         If the data has no variance at all.
     """
@@ -124,32 +126,25 @@ def _project(whitener: np.ndarray, data: np.ndarray, out: np.ndarray,
              mean: np.ndarray | None = None) -> None:
     """Write ``whitener @ (data - mean)`` into the m x t ``out``, one block
     of columns of ``data`` (at most ``_BLOCK_BYTES``, at least one
-    column) at a time.
+    column) at a time: each block is copied into the scratch, centred
+    there when a ``mean`` is given, and multiplied straight into ``out``.
 
-    With a ``mean``, each centred block goes through the scratch and its
-    product straight into ``out``, which must not overlap ``data``.
-    Without one, ``data`` is already centred and ``out`` may be the
-    first ``m t`` elements of its buffer: rows of the same length put
-    block c of ``out`` inside block c of ``data``, and each product goes
-    through the scratch, so no block is overwritten before it is read.
+    ``out`` may be the first ``m t`` elements of the buffer of ``data``:
+    rows of the same length put block c of ``out`` inside block c of
+    ``data``, which is copied before its product is written.
     """
     n, t = data.shape
-    m = whitener.shape[0]
     cols = min(t, max(1, _BLOCK_BYTES // (8 * n)))
     scratch = np.empty(n * cols)
     for c in range(0, t, cols):
         block = data[:, c:c + cols]
         buf = scratch[:block.size].reshape(n, -1)
-        if mean is None:
-            np.matmul(whitener, block, out=buf[:m])
-            out[:, c:c + cols] = buf[:m]
-        else:
-            # Copied, then centred in place: centring the strided block
-            # straight into the scratch makes the ufunc buffer twice as
-            # much.
-            np.copyto(buf, block)
+        # Copied, then centred in place: centring the strided block
+        # straight into the scratch makes the ufunc buffer twice as much.
+        np.copyto(buf, block)
+        if mean is not None:
             buf -= mean[:, None]
-            np.matmul(whitener, buf, out=out[:, c:c + cols])
+        np.matmul(whitener, buf, out=out[:, c:c + cols])
 
 
 def _null_tolerance(shape: tuple[int, int]) -> float:
@@ -167,7 +162,12 @@ def _fit_centered(centered: np.ndarray, mean: np.ndarray,
             f"whitening {n} channels from only {t} samples; the sample "
             "covariance is rank deficient or barely determined",
             stacklevel=3)
-    cov = centered @ centered.T / t
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = centered @ centered.T / t
+    if not np.all(np.isfinite(cov)):
+        raise ValidationError(
+            "sample covariance overflowed; the data is too large in "
+            "magnitude to whiten")
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals = evals[order]

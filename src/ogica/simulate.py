@@ -50,6 +50,8 @@ class ExperimentSpec:
                 f"samples must be >= 2, got {self.samples}")
         if self.runs < 1:
             raise ParameterError(f"runs must be >= 1, got {self.runs}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_sources(self) -> int:

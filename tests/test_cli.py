@@ -112,6 +112,26 @@ def test_seed_env_must_be_integer(tmp_path, monkeypatch):
     assert excinfo.value.code == 1
 
 
+def test_negative_seed_is_a_usage_error(mixture_dir, tmp_path, monkeypatch):
+    commands = (
+        ["simulate", "--experiment", "1", "--output-dir", str(tmp_path)],
+        ["benchmark", "--runs", "1", "--max-iterations", "2",
+         "-o", str(tmp_path / "b.json")],
+        ["decompose", str(mixture_dir / "observed.csv"), "--init", "random",
+         "-o", str(tmp_path / "d.json")],
+    )
+    for args in commands:
+        with pytest.raises(SystemExit) as excinfo:
+            main(args + ["--seed", "-1"])
+        assert excinfo.value.code == 1, args
+        monkeypatch.setenv("OGICA_SEED", "-1")
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 1, args
+        monkeypatch.delenv("OGICA_SEED")
+    assert not any(tmp_path.iterdir())
+
+
 # ------------------------------------------------------------ decompose
 
 
@@ -335,6 +355,16 @@ def test_decompose_nonfinite_csv(tmp_path, capsys):
     code = main(["decompose", str(path), "-o", str(tmp_path / "z.json")])
     assert code == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+def test_decompose_overflowing_covariance_is_invalid_input(tmp_path,
+                                                          capsys):
+    # Finite entries whose squares overflow: whitening would give NaN.
+    path = tmp_path / "huge.csv"
+    path.write_text("1e200,2e200,-3e200,5\n1,2,3,4\n")
+    code = main(["decompose", str(path), "-o", str(tmp_path / "z.json")])
+    assert code == 2
+    assert "sample covariance overflowed" in capsys.readouterr().err
 
 
 def test_decompose_constant_data_is_numerical_failure(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ogica import (
     center,
     fit_whitening,
 )
+from ogica import preprocess
 from ogica.preprocess import _whiten_in_place
 
 
@@ -153,6 +155,15 @@ def test_fit_whitening_degenerate_data():
         fit_whitening(np.full((2, 6), 3.5), 0.0)
 
 
+def test_whitening_refuses_an_overflowing_covariance():
+    # Finite data whose squares overflow would whiten to NaN.
+    data = np.array([[1e200, 2e200, -3e200, 5.0], [1.0, 2.0, 3.0, 4.0]])
+    with pytest.raises(ValidationError, match="covariance overflowed"):
+        fit_whitening(data)
+    with pytest.raises(ValidationError, match="covariance overflowed"):
+        _whiten_in_place(data.copy(), None)
+
+
 def test_fit_whitening_warns_when_samples_scarce():
     rng = np.random.default_rng(0)
     with pytest.warns(UserWarning):
@@ -279,29 +290,34 @@ def _warnings_of(call):
        seed=st.integers(0, 2**32 - 1),
        offset=st.floats(-1e3, 1e3),
        threshold=st.just(0.0) | st.floats(1e-6, 0.5),
-       duplicate=st.booleans())
+       duplicate=st.booleans(),
+       block_bytes=st.integers(1, 3000))
 def test_whiten_in_place_equals_fit_then_apply(n, t, seed, offset, threshold,
-                                               duplicate):
-    rng = np.random.default_rng(seed)
-    data = (rng.standard_normal((n, n)) @ rng.standard_normal((n, t))
-            + offset * rng.standard_normal((n, 1)))
-    if duplicate and n > 1:
-        data[-1] = data[0]  # a rank-deficient covariance
-    model, expected_warnings = _warnings_of(
-        lambda: fit_whitening(data, threshold))
-    expected = apply_whitening(model, data)
-    owned = data.copy()
-    (got_model, got), got_warnings = _warnings_of(
-        lambda: _whiten_in_place(owned, threshold))
-    for field in dataclasses.fields(WhiteningModel):
-        assert _same_bits(getattr(got_model, field.name),
-                          getattr(model, field.name)), field.name
-    assert _same_bits(got, expected)
-    # the whitened result occupies the first m t elements of the caller's
-    # buffer
-    assert _same_bits(owned.reshape(-1)[:got.size].reshape(got.shape),
-                      expected)
-    assert len(got_warnings) == len(expected_warnings) == (1 if t <= n else 0)
+                                               duplicate, block_bytes):
+    # A small block size makes both paths walk several (ragged) column
+    # blocks, also when fewer components than channels are kept.
+    with mock.patch.object(preprocess, "_BLOCK_BYTES", block_bytes):
+        rng = np.random.default_rng(seed)
+        data = (rng.standard_normal((n, n)) @ rng.standard_normal((n, t))
+                + offset * rng.standard_normal((n, 1)))
+        if duplicate and n > 1:
+            data[-1] = data[0]  # a rank-deficient covariance
+        model, expected_warnings = _warnings_of(
+            lambda: fit_whitening(data, threshold))
+        expected = apply_whitening(model, data)
+        owned = data.copy()
+        (got_model, got), got_warnings = _warnings_of(
+            lambda: _whiten_in_place(owned, threshold))
+        for field in dataclasses.fields(WhiteningModel):
+            assert _same_bits(getattr(got_model, field.name),
+                              getattr(model, field.name)), field.name
+        assert _same_bits(got, expected)
+        # the whitened result occupies the first m t elements of the
+        # caller's buffer
+        assert _same_bits(owned.reshape(-1)[:got.size].reshape(got.shape),
+                          expected)
+        assert (len(got_warnings) == len(expected_warnings)
+                == (1 if t <= n else 0))
 
 
 def _traced_peak(call):

@@ -40,6 +40,14 @@ def test_spec_validation():
         ExperimentSpec(n_super=1, n_sub=1, samples=1, seed=7)
 
 
+def test_spec_refuses_negative_seed():
+    # SeedSequence takes no negative entropy; the spec refuses it first.
+    with pytest.raises(ParameterError, match="seed"):
+        ExperimentSpec(n_super=1, n_sub=1, samples=100, seed=-1)
+    with pytest.raises(ParameterError, match="seed"):
+        experiment_preset(1, seed=-1)
+
+
 def test_presets():
     small = experiment_preset(1)
     assert (small.n_super, small.n_sub, small.samples) == (10, 10, 5000)

@@ -7,8 +7,10 @@ These tests check that one pass serves every step of a run and is
 unreachable once the run ends (also when it raises), that the result bits
 do not depend on what ran before or on what the scratches held, that
 steps called outside a run return nothing that aliases, and that two
-threads keep separate passes.  They also check that a numerical failure in
-any step of a run leaves it with the step's iteration.
+threads keep separate passes.  They check that a run's validation does
+not grow with its iterations, since its steps trust its pass, and that a
+numerical failure in any step of a run leaves it with the step's
+iteration.
 """
 
 import gc
@@ -114,6 +116,36 @@ def test_run_reuses_one_pair_and_drops_it(monkeypatch, p1, module, solve,
     refs = made[threading.current_thread()]
     assert len(refs) == 1
     assert _released(refs)
+
+
+def _count_checks(monkeypatch):
+    """Count the calls of every validation name a step can reach."""
+    calls = []
+    for module, name in ((ogextinf, "as_square_matrix"),
+                         (ogextinf, "_check_orthogonal"),
+                         (extinf, "as_square_matrix")):
+        def counted(*args, _check=getattr(module, name), **kwargs):
+            calls.append(None)
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("solve, config", [
+    (run_ogextinf, IterationConfig), (run_extinf, GradientConfig)])
+def test_a_run_validates_once_whatever_its_length(monkeypatch, p1, solve,
+                                                  config):
+    # The steps of a run trust its pass: the checks a run makes do not
+    # grow with its iterations.
+    calls = _count_checks(monkeypatch)
+    counts = []
+    for iterations in (5, 25):
+        before = len(calls)
+        result = solve(p1, config(max_iterations=iterations))
+        assert result.record.iterations_used == iterations
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1]
 
 
 def test_buffers_dropped_when_a_run_raises(monkeypatch, p1):
