@@ -275,7 +275,10 @@ def cmd_decompose(args, parser: _Parser) -> int:
         parser.error("--init random is only supported for ogextinf")
     seed = _resolve_seed(args, parser)
 
-    data = as_data_matrix(read_matrix(args.input), name=args.input)
+    tic = time.perf_counter()
+    data = read_matrix(args.input)
+    read_seconds = time.perf_counter() - tic
+    data = as_data_matrix(data, name=args.input)
     n, t = data.shape
 
     tic = time.perf_counter()
@@ -326,6 +329,7 @@ def cmd_decompose(args, parser: _Parser) -> int:
             "learning_rate_effective": result.learning_rate,
         },
         "timing": {
+            "read_seconds": read_seconds,
             "whitening_seconds": whitening_seconds,
             "algorithm_seconds": result.elapsed_total,
             "per_iteration_seconds": result.record.elapsed.tolist(),

@@ -4,6 +4,10 @@ Format: one row per channel, cells separated by commas, ``.`` as the
 decimal point, no header, LF line endings.  Values are written with 17
 significant digits, which is enough for every IEEE-754 double to survive a
 write/read round trip unchanged.
+
+A write gives exactly the bytes of ``"%.17g" % x`` per cell, formatted
+by numpy one block of cells at a time in :mod:`ogica._csvformat`, which
+is imported on the first write.
 """
 
 from __future__ import annotations
@@ -20,29 +24,31 @@ from .exceptions import MatrixParseError
 _LOADTXT_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _lines(values):
-    """The lines of a non-empty 2-D array in the CSV matrix format (which
-    has no empty matrix), each ending in LF, made one row at a time."""
+def _chunks(values):
+    """The CSV text of a non-empty 2-D array (the format has no empty
+    matrix) as a generator of byte chunks of whole cells.  The shape is
+    checked before the generator is returned."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2 or not arr.size:
         raise ValueError(f"need a non-empty 2-D array, got shape {arr.shape}")
-    # One template per row, applied to Python floats converted row by row
-    # (a whole-matrix tolist() would hold every value as an object).
-    template = ",".join(["%.17g"] * arr.shape[1]) + "\n"
-    return (template % tuple(row.tolist()) for row in arr)
+    # Imported on the first write rather than at start-up, where compiling
+    # the kernel more than doubled this module's import time.
+    from ._csvformat import format_blocks
+    return format_blocks(arr)
 
 
 def format_matrix(values) -> str:
     """Render a 2-D array in the CSV matrix format (trailing newline)."""
-    return "".join(_lines(values))
+    return b"".join(_chunks(values)).decode("ascii")
 
 
 def write_matrix(path: str | os.PathLike, values) -> None:
     """Write a matrix to ``path`` in the CSV matrix format, streaming it
-    row by row."""
-    lines = _lines(values)  # checks the shape before the file is opened
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.writelines(lines)
+    one block of at most a few thousand cells at a time (see
+    :mod:`ogica._csvformat`)."""
+    chunks = _chunks(values)  # checks the shape before the file is opened
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:

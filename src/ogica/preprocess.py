@@ -62,11 +62,24 @@ def center(data) -> tuple[np.ndarray, np.ndarray]:
     """Remove the per-row mean.
 
     Returns ``(centered, mean)`` where ``centered + mean[:, None]``
-    restores the input.
+    restores the input.  Raises :class:`ValidationError` if a row's mean
+    overflows.
     """
     arr = as_data_matrix(data)
-    mean = arr.mean(axis=1)
+    mean = _row_means(arr)
     return arr - mean[:, None], mean
+
+
+def _row_means(data: np.ndarray) -> np.ndarray:
+    """The mean of each row of finite data, or :class:`ValidationError`
+    when one overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = data.mean(axis=1)
+    if not np.all(np.isfinite(mean)):
+        raise ValidationError(
+            "row mean overflowed; the data is too large in magnitude to "
+            "centre")
+    return mean
 
 
 def fit_whitening(data, variance_threshold: float | None = 0.0
@@ -88,7 +101,8 @@ def fit_whitening(data, variance_threshold: float | None = 0.0
     ParameterError
         If ``variance_threshold`` is neither ``None`` nor in ``[0, 1)``.
     ValidationError
-        If the sample covariance of the (finite) data overflows.
+        If a row mean or the sample covariance of the (finite) data
+        overflows.
     DegenerateDataError
         If the data has no variance at all.
     """
@@ -113,7 +127,7 @@ def _whiten_in_place(data: np.ndarray, variance_threshold: float | None
     when ``data`` is not C-contiguous); the rest of the buffer is left
     holding centred data.  ``variance_threshold`` is not checked.
     """
-    mean = data.mean(axis=1)
+    mean = _row_means(data)
     data -= mean[:, None]
     model = _fit_centered(data, mean, variance_threshold)
     out = data.reshape(-1)[:model.retained * data.shape[1]]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -167,12 +168,16 @@ def test_decompose_unmixing_is_orthogonal(decompose_payload):
 
 def test_decompose_timing_block_isolated(decompose_payload):
     timing = decompose_payload["timing"]
-    assert set(timing) == {"whitening_seconds", "algorithm_seconds",
-                           "per_iteration_seconds"}
+    assert set(timing) == {"read_seconds", "whitening_seconds",
+                           "algorithm_seconds", "per_iteration_seconds"}
     assert timing["whitening_seconds"] > 0
     assert timing["algorithm_seconds"] > 0
     assert (len(timing["per_iteration_seconds"])
             == decompose_payload["result"]["iterations_used"])
+
+
+def test_decompose_timing_reports_the_read(decompose_payload):
+    assert decompose_payload["timing"]["read_seconds"] >= 0
 
 
 def test_decompose_deterministic_modulo_timing(mixture_dir, tmp_path,
@@ -365,6 +370,20 @@ def test_decompose_overflowing_covariance_is_invalid_input(tmp_path,
     code = main(["decompose", str(path), "-o", str(tmp_path / "z.json")])
     assert code == 2
     assert "sample covariance overflowed" in capsys.readouterr().err
+
+
+def test_decompose_overflowing_row_mean_is_invalid_input(tmp_path, capsys):
+    # Finite entries whose row sum overflows: the mean is named, and no
+    # numpy warning reaches stderr.
+    path = tmp_path / "huge.csv"
+    path.write_text("1.7e308,1.7e308,-1.7e308,5\n1,2,3,4\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["decompose", str(path), "-o", str(tmp_path / "z.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "row mean overflowed" in err
+    assert "Warning" not in err
 
 
 def test_decompose_constant_data_is_numerical_failure(tmp_path, capsys):

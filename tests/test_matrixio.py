@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ogica import MatrixParseError, format_matrix, read_matrix, write_matrix
-from ogica import matrixio
+from ogica import _csvformat, matrixio
+from ogica.simulate import experiment_preset, make_dataset
 
 _EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
              1.7976931348623157e308, -1.7976931348623157e308]
@@ -321,3 +322,90 @@ def test_write_peak_memory_is_below_one_array(tmp_path):
     values = np.random.default_rng(10).standard_normal((20, 5000))
     path = tmp_path / "m.csv"
     assert _traced_peak(lambda: write_matrix(path, values)) <= values.nbytes
+
+
+def _reference(values) -> str:
+    """The CSV text with one ``%.17g`` per cell."""
+    return "".join(",".join("%.17g" % cell for cell in row) + "\n"
+                   for row in np.asarray(values).tolist())
+
+
+def _assert_per_cell_text(text, values):
+    """``text`` is the reference text of ``values``; a failure names the
+    first differing cells rather than diffing the whole text."""
+    expected = _reference(values)
+    if text != expected:
+        cells = zip(np.asarray(values).reshape(-1).tolist(),
+                    text.replace("\n", ",").split(","),
+                    expected.replace("\n", ",").split(","))
+        wrong = [(x, got, want) for x, got, want in cells if got != want]
+        assert wrong[:5] == [], f"{len(wrong)} cells differ"
+        assert text == expected  # the same cells, other separators
+
+
+@settings(deadline=None, max_examples=300)
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 12)),
+              elements=st.floats(allow_nan=True, allow_infinity=True,
+                                 allow_subnormal=True)))
+def test_format_equals_per_cell_percent_17g(values):
+    _assert_per_cell_text(format_matrix(values), values)
+
+
+def _sweep_cells() -> np.ndarray:
+    """About 1.1 million doubles that probe the block formatter: random
+    bit patterns (NaN, inf and subnormals included), scaled normals on
+    both sides of its range, decimal-rounded values, +-powers of ten and
+    their neighbours across the whole exponent range, exact ties at 17
+    digits, and the extremes."""
+    rng = np.random.default_rng(23)
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    with np.errstate(over="ignore"):
+        powers = np.concatenate([powers * scale
+                                 for scale in (1, 0.5, 2, 0.1)] + [[0.0]])
+        powers = np.concatenate([powers, -powers])
+        near = [np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)]
+    # 18 digits ending in 5, a tie at 17: N.25 or N.75 with 16-digit N
+    # below 2**51, and N + j/8 with 15-digit N below 2**47.
+    whole = rng.integers(10**15, 2**51, 40_000).astype(float)
+    eighths = rng.integers(10**14, 2**47, 40_000).astype(float)
+    cells = np.concatenate([
+        rng.integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(300_000) * 10.0 ** rng.integers(-40, 25, 300_000),
+        rng.laplace(size=150_000),
+        np.round(rng.standard_normal(150_000) * 1000, 3),
+        powers, *near,
+        whole + rng.choice([0.25, 0.75], whole.size),
+        eighths + rng.integers(1, 8, eighths.size) / 8,
+        [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+         -1.7976931348623157e308, 1e17, 99999999999999984.0, 1e-30,
+         9.9999999999999e-31, np.inf, -np.inf, np.nan],
+    ])
+    rng.shuffle(cells)
+    return cells[:cells.size // 1000 * 1000].reshape(-1, 1000)
+
+
+def test_format_equals_percent_17g_on_a_million_cell_sweep():
+    values = _sweep_cells()
+    assert values.size >= 10**6
+    _assert_per_cell_text(format_matrix(values), values)
+
+
+@pytest.mark.parametrize("shape", [(1, 23), (5, 3), (4, 7), (9, 16)])
+def test_format_blocks_split_rows_and_pieces(monkeypatch, shape):
+    # Blocks of 7 cells: several whole rows, or pieces of one long row,
+    # with repeated cells that only %.17g formats (integers, +-0).
+    monkeypatch.setattr(_csvformat, "_CHUNK_CELLS", 7)
+    values = np.random.default_rng(3).standard_normal(shape) * 1e3
+    values.flat[::3] = np.round(values.flat[::3], -1)
+    values.flat[1::5] = 0.0
+    values.flat[2::10] = -0.0
+    _assert_per_cell_text(format_matrix(values), values)
+
+
+def test_write_matrix_gives_per_cell_bytes_on_a_preset(tmp_path):
+    dataset = make_dataset(experiment_preset(1, seed=7), 0)
+    for name in ("observed", "sources", "mixing"):
+        values = getattr(dataset, name)
+        path = tmp_path / f"{name}.csv"
+        write_matrix(path, values)
+        _assert_per_cell_text(path.read_bytes().decode("ascii"), values)

@@ -164,6 +164,18 @@ def test_whitening_refuses_an_overflowing_covariance():
         _whiten_in_place(data.copy(), None)
 
 
+def test_whitening_refuses_an_overflowing_row_mean():
+    # Finite data whose row sum overflows: the mean, not the covariance,
+    # is named, and numpy's overflow warning is not shown.
+    data = np.array([[1.7e308, 1.7e308, -1.7e308, 5.0], [1.0, 2.0, 3.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="row mean overflowed"):
+            fit_whitening(data)
+        with pytest.raises(ValidationError, match="row mean overflowed"):
+            _whiten_in_place(data.copy(), None)
+
+
 def test_fit_whitening_warns_when_samples_scarce():
     rng = np.random.default_rng(0)
     with pytest.warns(UserWarning):
