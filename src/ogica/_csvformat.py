@@ -3,10 +3,11 @@
 It writes exactly the bytes of ``"%.17g" % x`` per cell, for a block of
 cells at a time in numpy instead of one Python format per cell.  For
 1e-30 <= |x| < 1e17 the decimal exponent and the 17 digits come from a
-double-double product; every other cell, and each cell whose rounding
-that cannot settle, is formatted by ``%.17g`` itself.  The module is
-imported on the first write, and its lookup tables (about 170 KB) are
-built then, so start-up compiles and builds none of it.
+double-double product, and +-0 is written as ``0`` or ``-0``; every other
+cell, and each cell whose rounding that cannot settle, is formatted by
+``%.17g`` itself.  The module is imported on the first write, and its
+lookup tables (about 170 KB) are built then, so start-up compiles and
+builds none of it.
 """
 
 from __future__ import annotations
@@ -47,17 +48,20 @@ def _format_block(block: np.ndarray, ends_rows: bool) -> bytes:
     1e-14 of exact, and rounded to the 17 digits.  A cell whose rounding
     that cannot settle (within 1e-6 of a tie, or ``k`` off by one), whose
     integer zeros would read as trailing zeros, or that lies outside the
-    range (zero, subnormals, inf and NaN included) is formatted by
-    ``b"%.17g" % x``."""
+    range (subnormals, inf and NaN included) is formatted by
+    ``b"%.17g" % x``.  A zero takes the frame of ``k = 0`` and comes out
+    as its sign and the leading digit 0."""
     words, frames, scales, frac_div, int_div = _tables()
     v = block.reshape(-1)
     a = np.abs(v)
     exact = (a >= 1e-30) & (a < 1e17)
+    zero = a == 0.0
     with np.errstate(all="ignore"):  # cells outside the range are redone
         # k + 31; outside 0-48 only in cells that are redone, so every
         # lookup by it clips.
         kk = np.floor(np.log10(a)).astype(np.int64)
         kk += 31
+        kk[zero] = 31
         power, p_hi, p_lo, p_tail = scales.take(kk, axis=1, mode="clip")
         y = a * power
         a_hi = a * _SPLIT
@@ -109,7 +113,7 @@ def _format_block(block: np.ndarray, ends_rows: bool) -> bytes:
     if ends_rows:
         width = block.shape[1]
         text[width - 1::width, 5] ^= (ord(",") ^ ord("\n")) << 32
-    redo = np.flatnonzero(~exact)
+    redo = np.flatnonzero(~(exact | zero))
     if redo.size:
         # Each distinct value (by its bits: -0 is not 0) is formatted once.
         bits = v[redo].view(np.uint64)

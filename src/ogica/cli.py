@@ -255,19 +255,20 @@ def cmd_simulate(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _solve(algorithm: str, whitened: np.ndarray, *, tolerance: float,
-           max_iterations: int, cutoff: int, learning_rate: float,
+def _solve(algorithm: str, whitened: np.ndarray, flags,
            initial_W: np.ndarray | None = None):
     """Run one algorithm's core, unchecked, on data validated before its
-    whitening: its result without the sources, which no command writes."""
+    whitening, with the parsed solver flags (see :func:`_add_solver_flags`):
+    its result without the sources, which no command writes."""
     if algorithm == "ogextinf":
         config = IterationConfig(
-            max_iterations=max_iterations, tolerance=tolerance,
-            sign_rule_sample_cutoff=cutoff, initial_W=initial_W)
+            max_iterations=flags.max_iterations, tolerance=flags.tolerance,
+            sign_rule_sample_cutoff=flags.sign_cutoff, initial_W=initial_W)
         return _ogextinf(whitened, config, strict=True)
-    config = GradientConfig(learning_rate=learning_rate,
-                            max_iterations=max_iterations, tolerance=tolerance)
-    return _extinf(whitened, config, cutoff)
+    config = GradientConfig(learning_rate=flags.learning_rate,
+                            max_iterations=flags.max_iterations,
+                            tolerance=flags.tolerance)
+    return _extinf(whitened, config, flags.sign_cutoff)
 
 
 def cmd_decompose(args, parser: _Parser) -> int:
@@ -288,10 +289,7 @@ def cmd_decompose(args, parser: _Parser) -> int:
 
     initial = (random_orthogonal(m, np.random.default_rng(seed))
                if args.init == "random" else None)
-    result = _solve(
-        args.algorithm, whitened, tolerance=args.tolerance,
-        max_iterations=args.max_iterations, cutoff=args.sign_cutoff,
-        learning_rate=args.learning_rate, initial_W=initial)
+    result = _solve(args.algorithm, whitened, args, initial)
 
     payload = {
         "schema": "ogica.decompose/1",
@@ -344,16 +342,15 @@ def cmd_decompose(args, parser: _Parser) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def _benchmark_run(spec: ExperimentSpec, run_index: int, *,
-                   algorithms: tuple[str, ...], solve) -> dict:
-    """One dataset, all algorithms, each run by ``solve`` (a ``partial``
-    of :func:`_solve`).  Top-level so worker processes can import it;
-    returns plain dicts so results cross process boundaries cheaply."""
+def _benchmark_run(spec: ExperimentSpec, run_index: int, *, args) -> dict:
+    """One dataset, each of ``args.algorithms`` run by :func:`_solve`.
+    Top-level so worker processes can import it; returns plain dicts so
+    results cross process boundaries cheaply."""
     dataset = make_dataset(spec, run_index)
     model, whitened = _whiten_in_place(as_data_matrix(dataset.observed), 0.0)
     records = []
     curves = {}
-    for algo in algorithms:
+    for algo in args.algorithms:
         # A failed run's record; a finished run sets its outcome.
         record = {"run_index": run_index, "algorithm": algo,
                   "iterations_used": 0, "converged": False,
@@ -361,7 +358,7 @@ def _benchmark_run(spec: ExperimentSpec, run_index: int, *,
                   "wall_time": None, "error": None}
         curves[algo] = []
         try:
-            result = solve(algo, whitened)
+            result = _solve(algo, whitened, args)
         except NumericalError as exc:
             record.update(iterations_used=exc.iteration or 0, error=str(exc))
         else:
@@ -381,12 +378,7 @@ def _benchmark_run(spec: ExperimentSpec, run_index: int, *,
 def cmd_benchmark(args, parser: _Parser) -> int:
     seed = _resolve_seed(args, parser)
     spec = experiment_preset(args.experiment, seed=seed, runs=args.runs)
-    worker = partial(
-        _benchmark_run, spec, algorithms=args.algorithms,
-        solve=partial(_solve, tolerance=args.tolerance,
-                      max_iterations=args.max_iterations,
-                      cutoff=args.sign_cutoff,
-                      learning_rate=args.learning_rate))
+    worker = partial(_benchmark_run, spec, args=args)
     if args.jobs == 1:
         outcomes = [worker(r) for r in range(args.runs)]
     else:

@@ -98,43 +98,27 @@ def _plain_lines(path: str | os.PathLike) -> int | None:
 
 def _parse(path: str | os.PathLike) -> np.ndarray:
     """The hand parser behind :func:`read_matrix`: every line a row of
-    ``float`` cells, or :class:`MatrixParseError`.  A byte outside ASCII
-    decodes to a lone surrogate, which no number contains, so it is
-    reported as a non-numeric cell."""
+    ``float`` cells, or :class:`MatrixParseError` naming the first bad
+    one.  A byte outside ASCII decodes to a lone surrogate, which no
+    number contains, so it is reported as a non-numeric cell."""
+    rows = []
     with open(path, "r", encoding="ascii", errors="surrogateescape",
               newline="") as fh:
-        # A first pass counts the rows, so that each line is parsed
-        # straight into its row of the one result matrix.
-        n_rows = sum(1 for _ in fh)
-        if not n_rows:
-            raise MatrixParseError("empty matrix file", row=1)
-        fh.seek(0)
-        width = None
         for lineno, line in enumerate(fh, start=1):
             cells = line.rstrip("\r\n").split(",")
-            if width is None:
-                width = len(cells)
-                out = np.empty((n_rows, width))
-            elif len(cells) != width:
+            if rows and len(cells) != len(rows[0]):
                 raise MatrixParseError(
-                    f"row {lineno} has {len(cells)} cells, expected {width}",
-                    row=lineno)
-            try:
-                out[lineno - 1] = np.fromiter(map(float, cells), float,
-                                              count=width)
-            except ValueError:
-                _raise_bad_cell(cells, lineno)
-                raise
-    return out
-
-
-def _raise_bad_cell(cells: list[str], lineno: int) -> None:
-    """Raise the parse error naming the first cell of a row that
-    ``float`` rejects."""
-    for colno, cell in enumerate(cells, start=1):
-        try:
-            float(cell)
-        except ValueError:
-            raise MatrixParseError(
-                f"row {lineno}, column {colno}: not a number: {cell!r}",
-                row=lineno, column=colno) from None
+                    f"row {lineno} has {len(cells)} cells, "
+                    f"expected {len(rows[0])}", row=lineno)
+            row = np.empty(len(cells))
+            for colno, cell in enumerate(cells, start=1):
+                try:
+                    row[colno - 1] = float(cell)
+                except ValueError:
+                    raise MatrixParseError(
+                        f"row {lineno}, column {colno}: not a number: "
+                        f"{cell!r}", row=lineno, column=colno) from None
+            rows.append(row)
+    if not rows:
+        raise MatrixParseError("empty matrix file", row=1)
+    return np.vstack(rows)

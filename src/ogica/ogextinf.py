@@ -207,24 +207,6 @@ def _kurtosis_rule(m2: np.ndarray, m4: np.ndarray) -> np.ndarray:
     return np.where(excess >= 0.0, 1.0, -1.0)
 
 
-def _stability_signs(S: np.ndarray) -> np.ndarray:
-    """Stability-rule signs of the rows of S."""
-    t = S.shape[1]
-    T = np.tanh(S)
-    return _stability_rule(np.einsum("ij,ij->i", T, T) / t,
-                           np.einsum("ij,ij->i", S, S) / t,
-                           np.einsum("ij,ij->i", T, S) / t)
-
-
-def _kurtosis_signs(S: np.ndarray) -> np.ndarray:
-    """Kurtosis-rule signs of the rows of S."""
-    D = S - S.mean(axis=1, keepdims=True)
-    with np.errstate(over="ignore"):
-        D *= D
-    return _kurtosis_rule(D.mean(axis=1),
-                          np.einsum("ij,ij->i", D, D) / S.shape[1])
-
-
 class _Pass:
     """One streaming pass over a validated data matrix ``X`` per step.
 
@@ -312,7 +294,8 @@ def select_sign_stability(component) -> float:
     This is the estimator of choice for short sequences, where sample
     kurtosis is too noisy.
     """
-    return float(_stability_signs(_component(component))[0])
+    s = _component(component)
+    return float(select_signs(s, s.shape[1] + 1)[0])
 
 
 def select_sign_kurtosis(component) -> float:
@@ -321,7 +304,7 @@ def select_sign_kurtosis(component) -> float:
     Positive (or zero) excess kurtosis maps to ``+1``, negative to
     ``-1``.  Moments are central sample moments with 1/t normalization.
     """
-    return float(_kurtosis_signs(_component(component))[0])
+    return float(select_signs(_component(component), 1)[0])
 
 
 def select_signs(sources, cutoff: int = _SIGN_CUTOFF) -> np.ndarray:
@@ -333,8 +316,16 @@ def select_signs(sources, cutoff: int = _SIGN_CUTOFF) -> np.ndarray:
     """
     _check_cutoff(cutoff)
     S = as_data_matrix(sources, name="sources")
-    rule = _stability_signs if S.shape[1] < cutoff else _kurtosis_signs
-    return rule(S)
+    t = S.shape[1]
+    if t < cutoff:
+        T = np.tanh(S)
+        return _stability_rule(np.einsum("ij,ij->i", T, T) / t,
+                               np.einsum("ij,ij->i", S, S) / t,
+                               np.einsum("ij,ij->i", T, S) / t)
+    D = S - S.mean(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        D *= D
+    return _kurtosis_rule(D.mean(axis=1), np.einsum("ij,ij->i", D, D) / t)
 
 
 def higher_order_cov(sources, signs) -> np.ndarray:

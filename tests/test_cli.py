@@ -575,9 +575,11 @@ def test_module_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_process_pool_unloaded():
-    # Only ``benchmark --jobs N`` with N > 1 needs the process pool.
+    # Only ``benchmark --jobs N`` with N > 1 needs the process pool, and
+    # only a CSV write needs the block formatter.
     proc = _child_python(
         "-c", "import sys, ogica.cli; "
-              "print('concurrent.futures.process' in sys.modules)")
+              "print([name in sys.modules for name in "
+              "('concurrent.futures.process', 'ogica._csvformat')])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"

@@ -390,12 +390,19 @@ def test_format_equals_percent_17g_on_a_million_cell_sweep():
     _assert_per_cell_text(format_matrix(values), values)
 
 
-@pytest.mark.parametrize("shape", [(1, 23), (5, 3), (4, 7), (9, 16)])
+_ALL_ZEROS = (6, 5)
+
+
+@pytest.mark.parametrize("shape", [(1, 23), (5, 3), (4, 7), (9, 16),
+                                   _ALL_ZEROS])
 def test_format_blocks_split_rows_and_pieces(monkeypatch, shape):
     # Blocks of 7 cells: several whole rows, or pieces of one long row,
-    # with repeated cells that only %.17g formats (integers, +-0).
+    # with repeated integers that only %.17g formats and +-0 that the
+    # kernel formats; in the all-zero shape every cell is +-0, so the
+    # last column's LF replaces the separator of a kernel zero.
     monkeypatch.setattr(_csvformat, "_CHUNK_CELLS", 7)
-    values = np.random.default_rng(3).standard_normal(shape) * 1e3
+    scale = 0.0 if shape == _ALL_ZEROS else 1e3
+    values = np.random.default_rng(3).standard_normal(shape) * scale
     values.flat[::3] = np.round(values.flat[::3], -1)
     values.flat[1::5] = 0.0
     values.flat[2::10] = -0.0
