@@ -53,7 +53,20 @@ EXIT_NUMERICAL = 3
 EXIT_NO_CONVERGENCE = 4
 
 DEFAULT_SEED = 0
-_ALGORITHMS = ("ogextinf", "extinf")
+# Each algorithm the CLI offers, named once: the call that runs its core,
+# unchecked, on data validated before its whitening, configured by the
+# parsed solver flags (:func:`_add_solver_flags`); no command writes sources.
+_SOLVERS = {
+    "ogextinf": lambda X, flags, initial_W=None: _ogextinf(X, IterationConfig(
+        max_iterations=flags.max_iterations, tolerance=flags.tolerance,
+        sign_rule_sample_cutoff=flags.sign_cutoff, initial_W=initial_W),
+        strict=True),
+    "extinf": lambda X, flags: _extinf(X, GradientConfig(
+        learning_rate=flags.learning_rate,
+        max_iterations=flags.max_iterations, tolerance=flags.tolerance),
+        flags.sign_cutoff),
+}
+_ALGORITHMS = tuple(_SOLVERS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,7 +93,7 @@ def _checked(convert, accept, rule: str):
 
 def _algorithm_list(text: str) -> tuple[str, ...]:
     algorithms = tuple(a.strip() for a in text.split(",") if a.strip())
-    if (not algorithms or not set(algorithms) <= set(_ALGORITHMS)
+    if (not algorithms or not set(algorithms) <= _SOLVERS.keys()
             or len(set(algorithms)) < len(algorithms)):
         raise argparse.ArgumentTypeError(
             f"must name one or more of {', '.join(_ALGORITHMS)}, each at "
@@ -255,22 +268,6 @@ def cmd_simulate(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _solve(algorithm: str, whitened: np.ndarray, flags,
-           initial_W: np.ndarray | None = None):
-    """Run one algorithm's core, unchecked, on data validated before its
-    whitening, with the parsed solver flags (see :func:`_add_solver_flags`):
-    its result without the sources, which no command writes."""
-    if algorithm == "ogextinf":
-        config = IterationConfig(
-            max_iterations=flags.max_iterations, tolerance=flags.tolerance,
-            sign_rule_sample_cutoff=flags.sign_cutoff, initial_W=initial_W)
-        return _ogextinf(whitened, config, strict=True)
-    config = GradientConfig(learning_rate=flags.learning_rate,
-                            max_iterations=flags.max_iterations,
-                            tolerance=flags.tolerance)
-    return _extinf(whitened, config, flags.sign_cutoff)
-
-
 def cmd_decompose(args, parser: _Parser) -> int:
     if args.init == "random" and args.algorithm != "ogextinf":
         parser.error("--init random is only supported for ogextinf")
@@ -287,9 +284,9 @@ def cmd_decompose(args, parser: _Parser) -> int:
     whitening_seconds = time.perf_counter() - tic
     m = model.retained
 
-    initial = (random_orthogonal(m, np.random.default_rng(seed))
-               if args.init == "random" else None)
-    result = _solve(args.algorithm, whitened, args, initial)
+    initial = ((random_orthogonal(m, np.random.default_rng(seed)),)
+               if args.init == "random" else ())
+    result = _SOLVERS[args.algorithm](whitened, args, *initial)
 
     payload = {
         "schema": "ogica.decompose/1",
@@ -300,8 +297,8 @@ def cmd_decompose(args, parser: _Parser) -> int:
             "max_iterations": args.max_iterations,
             "pca_variance": args.pca_variance,
             "sign_cutoff": args.sign_cutoff,
-            "learning_rate": (args.learning_rate
-                              if args.algorithm == "extinf" else None),
+            "learning_rate": (None if result.learning_rate is None
+                              else args.learning_rate),
             "init": args.init,
             "seed": seed,
         },
@@ -343,7 +340,7 @@ def cmd_decompose(args, parser: _Parser) -> int:
 
 
 def _benchmark_run(spec: ExperimentSpec, run_index: int, *, args) -> dict:
-    """One dataset, each of ``args.algorithms`` run by :func:`_solve`.
+    """One dataset, each of ``args.algorithms`` run from ``_SOLVERS``.
     Top-level so worker processes can import it; returns plain dicts so
     results cross process boundaries cheaply."""
     dataset = make_dataset(spec, run_index)
@@ -358,7 +355,7 @@ def _benchmark_run(spec: ExperimentSpec, run_index: int, *, args) -> dict:
                   "wall_time": None, "error": None}
         curves[algo] = []
         try:
-            result = _solve(algo, whitened, args)
+            result = _SOLVERS[algo](whitened, args)
         except NumericalError as exc:
             record.update(iterations_used=exc.iteration or 0, error=str(exc))
         else:
@@ -379,13 +376,15 @@ def cmd_benchmark(args, parser: _Parser) -> int:
     seed = _resolve_seed(args, parser)
     spec = experiment_preset(args.experiment, seed=seed, runs=args.runs)
     worker = partial(_benchmark_run, spec, args=args)
-    if args.jobs == 1:
+    # A pool forks all its workers at once, so start no more than runs.
+    workers = min(args.jobs, args.runs)
+    if workers == 1:
         outcomes = [worker(r) for r in range(args.runs)]
     else:
         # Imported here, not at module level: the process pool module
         # adds about 20 ms to the start-up of every command.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             outcomes = list(pool.map(worker, range(args.runs)))
 
     record_dicts = [rec for out in outcomes for rec in out["records"]]

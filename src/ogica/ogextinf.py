@@ -100,7 +100,8 @@ class IterationConfig:
     ``sign_rule_sample_cutoff`` picks the nonlinearity-sign estimator:
     below the cutoff the tanh-based stability criterion is used, at or
     above it the sign of the sample excess kurtosis.  ``initial_W`` must
-    be orthogonal when given; the default is the identity.
+    be orthogonal when given, and the config keeps a read-only copy of
+    it; the default is the identity.
     """
 
     max_iterations: int = 1000
@@ -111,6 +112,10 @@ class IterationConfig:
     def __post_init__(self) -> None:
         _check_stopping_rule(self.max_iterations, self.tolerance)
         _check_cutoff(self.sign_rule_sample_cutoff)
+        if self.initial_W is not None:
+            W0 = as_square_matrix(self.initial_W, name="initial_W").copy()
+            W0.flags.writeable = False
+            object.__setattr__(self, "initial_W", W0)
 
 
 @dataclass(frozen=True)
@@ -538,11 +543,8 @@ def _ogextinf(X: np.ndarray, cfg: IterationConfig, strict: bool
     m = X.shape[0]
     data = _Pass(X)
     _check_whitened(data.cov, strict)
-    if cfg.initial_W is None:
-        W0 = np.eye(m)
-    else:
-        W0 = as_square_matrix(cfg.initial_W, name="initial_W")
-        _check_orthogonal(W0, m, "initial_W", 1e-8)
+    W0 = np.eye(m) if cfg.initial_W is None else cfg.initial_W
+    _check_orthogonal(W0, m, "initial_W", 1e-8)
 
     def step(state: UnmixingState) -> tuple[UnmixingState, float]:
         state = update_step(state, data, cfg.sign_rule_sample_cutoff)

@@ -1,3 +1,5 @@
+import concurrent.futures
+import importlib
 import json
 import os
 import subprocess
@@ -245,6 +247,43 @@ def test_decompose_random_init_requires_ogextinf(mixture_dir, tmp_path):
             main(["decompose", str(source), "-o", str(tmp_path / "x.json"),
                   "--algorithm", "extinf", "--init", "random"])
         assert excinfo.value.code == 1, source
+
+
+# The step each solver's core calls once per iteration, through the
+# module-global name that perfbench's tracer counts.
+_STEPS = {"ogextinf": ("ogica.ogextinf", "update_step"),
+          "extinf": ("ogica.extinf", "extinf_step")}
+
+
+@pytest.mark.parametrize("algorithm", _ALGORITHMS)
+def test_every_solver_runs_its_traced_step(algorithm, mixture_dir, tmp_path,
+                                           monkeypatch):
+    module_name, step_name = _STEPS[algorithm]
+    module = importlib.import_module(module_name)
+    step = getattr(module, step_name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(module, step_name, spy)
+    out = tmp_path / "decompose.json"
+    code = main(["decompose", str(mixture_dir / "observed.csv"),
+                 "-o", str(out), "--algorithm", algorithm,
+                 "--max-iterations", "30", "--learning-rate", "5e-4"])
+    assert code in (0, 4)
+    payload = json.loads(out.read_text())
+    assert len(calls) == payload["result"]["iterations_used"] > 0
+    assert payload["config"]["learning_rate"] == {
+        "ogextinf": None, "extinf": 5e-4}[algorithm]
+
+    calls.clear()
+    out = tmp_path / "benchmark.json"
+    assert main(["benchmark", "--runs", "1", "--algorithms", algorithm,
+                 "--max-iterations", "30", "-o", str(out)]) == 0
+    (record,) = json.loads(out.read_text())["records"]
+    assert len(calls) == record["iterations_used"] > 0
 
 
 def test_decompose_reduces_rank_deficient_input(tmp_path):
@@ -502,6 +541,34 @@ def test_benchmark_parallel_matches_serial(tmp_path):
     assert strip(serial) == strip(parallel)
 
 
+def test_benchmark_starts_at_most_one_worker_per_run(monkeypatch, tmp_path):
+    started = []
+
+    class SerialPool:
+        """Records its worker count and maps in this process."""
+
+        def __init__(self, max_workers=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    out = tmp_path / "r.json"
+    for runs in ("2", "1"):  # one run needs no pool at all
+        assert main(["benchmark", "--runs", runs, "--jobs", "8",
+                     "--max-iterations", "3", "--algorithms", "ogextinf",
+                     "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["jobs"] == 8
+    assert started == [2]
+
+
 def test_benchmark_rejects_unknown_algorithm(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["benchmark", "--runs", "1", "--algorithms", "fastica",
@@ -537,6 +604,8 @@ def test_solver_flags_are_shared(capsys):
                                           "--max-iterations")
     args = build_parser().parse_args(["benchmark"])
     assert args.algorithms == _ALGORITHMS
+    assert f"{{{','.join(_ALGORITHMS)}}}" in _flag_help(capsys, "decompose",
+                                                       "--algorithm")
 
 
 # ------------------------------------------------------------- plumbing

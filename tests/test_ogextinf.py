@@ -502,6 +502,24 @@ def test_run_validates_initial_w():
         run_ogextinf(X, wrong_size)
 
 
+def test_config_keeps_a_read_only_copy_of_initial_w():
+    X = _whitened_mixture(2, 2, 3000, seed=16)
+    W0 = random_orthogonal(4, np.random.default_rng(123))
+    expected = run_ogextinf(X, IterationConfig(max_iterations=20,
+                                               initial_W=W0.copy()))
+    cfg = IterationConfig(max_iterations=20, initial_W=W0)
+    W0[...] = np.eye(4)  # the caller reuses its array after construction
+    result = run_ogextinf(X, cfg)
+    assert np.array_equal(result.W, expected.W)
+    assert np.array_equal(result.record.weight_changes,
+                          expected.record.weight_changes)
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.initial_W[0, 0] = 2.0
+    for bad in (np.eye(4)[:3], np.diag([1.0, np.nan])):
+        with pytest.raises(ValidationError):
+            IterationConfig(initial_W=bad)
+
+
 def test_run_with_random_orthogonal_start():
     X = _whitened_mixture(2, 2, 3000, seed=16)
     W0 = random_orthogonal(4, np.random.default_rng(123))
