@@ -54,8 +54,9 @@ EXIT_NO_CONVERGENCE = 4
 
 DEFAULT_SEED = 0
 # Each algorithm the CLI offers, named once: the call that runs its core,
-# unchecked, on data validated before its whitening, configured by the
-# parsed solver flags (:func:`_add_solver_flags`); no command writes sources.
+# unchecked, on data validated (or simulated) before its whitening,
+# configured by the parsed solver flags (:func:`_add_solver_flags`); no
+# command writes sources.
 _SOLVERS = {
     "ogextinf": lambda X, flags, initial_W=None: _ogextinf(X, IterationConfig(
         max_iterations=flags.max_iterations, tolerance=flags.tolerance,
@@ -103,8 +104,8 @@ def _algorithm_list(text: str) -> tuple[str, ...]:
 
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _INDEX = _checked(int, lambda v: v >= 0, ">= 0")
-_POSITIVE = _checked(float, lambda v: v > 0, "positive")
-_NONNEGATIVE = _checked(float, lambda v: v >= 0, ">= 0")
+_POSITIVE = _checked(float, lambda v: 0 < v < np.inf, "positive and finite")
+_NONNEGATIVE = _checked(float, lambda v: 0 <= v < np.inf, ">= 0 and finite")
 _FRACTION = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 
@@ -344,7 +345,7 @@ def _benchmark_run(spec: ExperimentSpec, run_index: int, *, args) -> dict:
     Top-level so worker processes can import it; returns plain dicts so
     results cross process boundaries cheaply."""
     dataset = make_dataset(spec, run_index)
-    model, whitened = _whiten_in_place(as_data_matrix(dataset.observed), 0.0)
+    model, whitened = _whiten_in_place(dataset.observed, 0.0)
     records = []
     curves = {}
     for algo in args.algorithms:
@@ -374,7 +375,7 @@ def _benchmark_run(spec: ExperimentSpec, run_index: int, *, args) -> dict:
 
 def cmd_benchmark(args, parser: _Parser) -> int:
     seed = _resolve_seed(args, parser)
-    spec = experiment_preset(args.experiment, seed=seed, runs=args.runs)
+    spec = experiment_preset(args.experiment, seed=seed)
     worker = partial(_benchmark_run, spec, args=args)
     # A pool forks all its workers at once, so start no more than runs.
     workers = min(args.jobs, args.runs)

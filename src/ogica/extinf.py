@@ -22,7 +22,6 @@ from .ogextinf import (
     _Solution,
     _check_cutoff,
     _check_stopping_rule,
-    _check_whitened,
     _iterate,
     weight_change,
 )
@@ -50,9 +49,9 @@ class GradientConfig:
     blowup_threshold: float = 1e3
 
     def __post_init__(self) -> None:
-        if not self.learning_rate >= 0:
-            raise ParameterError(
-                f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ParameterError(f"learning_rate must be >= 0 and finite, "
+                                 f"got {self.learning_rate}")
         _check_stopping_rule(self.max_iterations, self.tolerance)
         if not self.blowup_threshold > 0:
             raise ParameterError(
@@ -120,17 +119,14 @@ def run_extinf(whitened, config: GradientConfig | None = None,
 def _extinf(X: np.ndarray, cfg: GradientConfig, cutoff: int) -> _Solution:
     """:func:`run_extinf` on a validated X, without the sources; the signs
     are those of one more pass at the final ``W``."""
-    data = _Pass(X)
-    _check_whitened(data.cov, strict=False)
-
-    def step(state):
+    def step(state, data):
         W, step_cfg = state
         W, change, eps = extinf_step(W, data, step_cfg, cutoff)
         if eps != step_cfg.learning_rate:
             step_cfg = replace(step_cfg, learning_rate=eps)
         return (W, step_cfg), change
 
-    (W, last_cfg), record = _iterate(step, (np.eye(X.shape[0]), cfg),
-                                     cfg.max_iterations, cfg.tolerance)
+    data, (W, last_cfg), record = _iterate(
+        X, False, step, (np.eye(X.shape[0]), cfg), cfg)
     return _Solution(W=W, signs=data(W, cutoff)[1], record=record,
                      learning_rate=last_cfg.learning_rate)

@@ -35,6 +35,7 @@ unit-variance sources) or moves by whole multiplicative steps.
 
 from __future__ import annotations
 
+import operator
 import time
 import warnings
 from dataclasses import dataclass
@@ -77,13 +78,20 @@ _FINITE_BOUND = 1e300
 
 
 def _check_stopping_rule(max_iterations: int, tolerance: float) -> None:
-    """Refuse a stopping rule with no iterations or no positive tolerance
-    (NaN included)."""
+    """Refuse a stopping rule whose cap is not an integer >= 1 or whose
+    tolerance is not positive and finite (NaN included)."""
     if not max_iterations >= 1:
         raise ParameterError(
             f"max_iterations must be >= 1, got {max_iterations}")
-    if not tolerance > 0:
-        raise ParameterError(f"tolerance must be positive, got {tolerance}")
+    try:
+        operator.index(max_iterations)
+    except TypeError:
+        raise ParameterError(
+            f"max_iterations must be an integer, got {max_iterations}"
+        ) from None
+    if not 0 < tolerance < np.inf:
+        raise ParameterError(
+            f"tolerance must be positive and finite, got {tolerance}")
 
 
 def _check_cutoff(cutoff: int) -> None:
@@ -215,10 +223,12 @@ def _kurtosis_rule(m2: np.ndarray, m4: np.ndarray) -> np.ndarray:
 class _Pass:
     """One streaming pass over a validated data matrix ``X`` per step.
 
-    Holds ``X``, its row means, ``C = X X^T / t``, ``max|X|`` and two
+    Holds ``X``, its row means, ``C = X X^T / t``, ``max|X|``, two
     scratches of as many columns of ``X`` as fit ``_BLOCK_BYTES`` (at
-    least one).  A run builds one and hands it to each of its steps; it
-    is never shared between runs or threads.
+    least one) and the ``blocks`` it walks: each block of columns ``X_c``
+    with two m-row views of the scratches of its width.  A run builds one
+    and hands it to each of its steps; it is never shared between runs or
+    threads.
     """
 
     def __init__(self, X: np.ndarray) -> None:
@@ -229,16 +239,11 @@ class _Pass:
         self.peak = max(X.max(), -X.min())
         self.cols = min(t, max(1, _BLOCK_BYTES // (8 * m)))
         self.scratches = np.empty(m * self.cols), np.empty(m * self.cols)
-
-    def _blocks(self):
-        """Each block of columns ``X_c`` with two m-row scratches of its
-        width."""
-        X, cols = self.X, self.cols
-        m, t = X.shape
-        for c in range(0, t, cols):
-            Xc = X[:, c:c + cols]
-            size = Xc.size
-            yield Xc, *(a[:size].reshape(m, -1) for a in self.scratches)
+        self.blocks = []
+        for c in range(0, t, self.cols):
+            Xc = X[:, c:c + self.cols]
+            self.blocks.append(
+                (Xc, *(a[:Xc.size].reshape(m, -1) for a in self.scratches)))
 
     def __call__(self, W: np.ndarray, cutoff: int
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +263,7 @@ class _Pass:
             mu = (W @ self.mean)[:, None]
         G = np.zeros((m, m))
         sums = np.zeros((2, m))
-        for Xc, S, T in self._blocks():
+        for Xc, S, T in self.blocks:
             with np.errstate(over="ignore", invalid="ignore"):
                 np.matmul(W, Xc, out=S)
             if scan and not np.all(np.isfinite(S)):
@@ -473,30 +478,34 @@ def _check_whitened(cov: np.ndarray, strict: bool) -> None:
                f"from the identity by {err:.3e} (limit {_WHITENESS_TOL:g})")
         if strict:
             raise ValidationError(msg)
-        warnings.warn(msg, stacklevel=4)
+        warnings.warn(msg, stacklevel=5)
 
 
-def _iterate(step, state, max_iterations: int, tolerance: float):
-    """Apply ``step(state) -> (state, weight_change)`` under the stopping
-    rule; return the last state and its :class:`ConvergenceRecord`.  A
-    step's numerical error is re-raised with the 1-based iteration."""
+def _iterate(X: np.ndarray, strict: bool, step, state, cfg):
+    """Build the pass over a validated X, check that X is white (raise
+    when ``strict``, else warn) and apply ``step(state, pass) -> (state,
+    weight_change)`` under ``cfg``'s ``max_iterations`` and ``tolerance``;
+    return the pass, the last state and its :class:`ConvergenceRecord`.
+    A step's numerical error is re-raised with the 1-based iteration."""
+    data = _Pass(X)
+    _check_whitened(data.cov, strict)
     changes: list[float] = []
     stopwatch: list[float] = []
     converged = False
-    for i in range(1, max_iterations + 1):
+    for i in range(1, cfg.max_iterations + 1):
         tic = time.perf_counter()
         try:
-            state, change = step(state)
+            state, change = step(state, data)
         except NumericalError as exc:
             exc.iteration = i
             exc.args = (f"iteration {i}: {exc}",)
             raise
         stopwatch.append(time.perf_counter() - tic)
         changes.append(change)
-        if change <= tolerance:
+        if change <= cfg.tolerance:
             converged = True
             break
-    return state, ConvergenceRecord(
+    return data, state, ConvergenceRecord(
         weight_changes=np.asarray(changes),
         elapsed=np.asarray(stopwatch),
         converged=converged,
@@ -541,15 +550,14 @@ def _ogextinf(X: np.ndarray, cfg: IterationConfig, strict: bool
     """:func:`run_ogextinf` on a validated X, without the sources; the
     signs are those of the last step."""
     m = X.shape[0]
-    data = _Pass(X)
-    _check_whitened(data.cov, strict)
     W0 = np.eye(m) if cfg.initial_W is None else cfg.initial_W
     _check_orthogonal(W0, m, "initial_W", 1e-8)
 
-    def step(state: UnmixingState) -> tuple[UnmixingState, float]:
+    def step(state: UnmixingState, data: _Pass
+             ) -> tuple[UnmixingState, float]:
         state = update_step(state, data, cfg.sign_rule_sample_cutoff)
         return state, state.weight_change
 
-    state, record = _iterate(step, UnmixingState(W=W0, signs=np.ones(m)),
-                             cfg.max_iterations, cfg.tolerance)
+    _, state, record = _iterate(X, strict, step,
+                                UnmixingState(W=W0, signs=np.ones(m)), cfg)
     return _Solution(W=state.W, signs=state.signs, record=record)

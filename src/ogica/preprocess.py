@@ -120,8 +120,9 @@ def _whiten_in_place(data: np.ndarray, variance_threshold: float | None
     :func:`apply_whitening` give, without their centred copy or a
     second m x t matrix.
 
-    ``data`` must be a float64 matrix that passed
-    :func:`~ogica.validation.as_data_matrix` and that the caller owns.
+    ``data`` must be a float64 matrix that the caller owns and that
+    passed :func:`~ogica.validation.as_data_matrix`, or was made by
+    :func:`~ogica.simulate.make_dataset`.
     It is centred in place, and the whitened m x t result is written over
     its first ``m t`` elements and returned as a view of them (of a copy
     when ``data`` is not C-contiguous); the rest of the buffer is left

@@ -30,13 +30,16 @@ GENERATOR_NAME = "numpy.random.PCG64"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of a family of replicated datasets."""
+    """The layout and base seed of a family of replicated datasets.
+
+    The family has no size: :func:`make_dataset` draws any member by its
+    run index, and the caller picks how many.
+    """
 
     n_super: int
     n_sub: int
     samples: int
     seed: int = 0
-    runs: int = 1
 
     def __post_init__(self) -> None:
         if self.n_super < 0 or self.n_sub < 0:
@@ -48,8 +51,6 @@ class ExperimentSpec:
         if self.samples < 2:
             raise ParameterError(
                 f"samples must be >= 2, got {self.samples}")
-        if self.runs < 1:
-            raise ParameterError(f"runs must be >= 1, got {self.runs}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
@@ -70,19 +71,16 @@ class MixtureDataset:
     condition_retries: int = 0
 
 
-def experiment_preset(number: int, *, seed: int = 0,
-                      runs: int = 1) -> ExperimentSpec:
-    """The two standard benchmark layouts.
+def experiment_preset(number: int, *, seed: int = 0) -> ExperimentSpec:
+    """The two standard benchmark layouts, with base seed ``seed``.
 
     Preset 1: 10 Laplacian + 10 uniform sources, 5000 samples.
     Preset 2: 25 Laplacian + 25 uniform sources, 10000 samples.
     """
     if number == 1:
-        return ExperimentSpec(n_super=10, n_sub=10, samples=5000,
-                              seed=seed, runs=runs)
+        return ExperimentSpec(n_super=10, n_sub=10, samples=5000, seed=seed)
     if number == 2:
-        return ExperimentSpec(n_super=25, n_sub=25, samples=10000,
-                              seed=seed, runs=runs)
+        return ExperimentSpec(n_super=25, n_sub=25, samples=10000, seed=seed)
     raise ParameterError(f"unknown experiment preset {number}; use 1 or 2")
 
 

@@ -361,6 +361,8 @@ def test_decompose_flag_validation(mixture_dir, tmp_path):
         ["--pca-variance", "-0.1"],
         ["--sign-cutoff", "0"],
         ["--learning-rate", "-1"],
+        ["--tolerance", "inf"],
+        ["--learning-rate", "inf"],
         ["--algorithm", "fastica"],
     )
     for flags in bad_flags:
@@ -581,6 +583,7 @@ def test_benchmark_flag_validation(tmp_path):
                   ["--tolerance", "-1"], ["--algorithms", ""],
                   ["--max-iterations", "0"], ["--sign-cutoff", "0"],
                   ["--learning-rate", "-1"],
+                  ["--tolerance", "inf"], ["--learning-rate", "inf"],
                   ["--algorithms", "ogextinf,ogextinf"]):
         with pytest.raises(SystemExit) as excinfo:
             main(["benchmark", "-o", str(tmp_path / "r.json")] + flags)

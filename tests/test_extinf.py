@@ -45,6 +45,15 @@ def test_config_defaults_and_validation():
         GradientConfig(tolerance=-1.0)
     with pytest.raises(ParameterError):
         GradientConfig(blowup_threshold=0.0)
+    for cap in (2.5, 3.0, float("inf")):
+        with pytest.raises(ParameterError, match="max_iterations"):
+            GradientConfig(max_iterations=cap)
+    with pytest.raises(ParameterError, match="tolerance"):
+        GradientConfig(tolerance=float("inf"))
+    with pytest.raises(ParameterError, match="learning_rate"):
+        GradientConfig(learning_rate=float("inf"))
+    assert GradientConfig(max_iterations=np.int64(5)).max_iterations == 5
+    GradientConfig(blowup_threshold=float("inf"))  # never anneal on size
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.learning_rate = 1.0
 
@@ -254,8 +263,9 @@ def test_run_does_not_enforce_orthogonality():
 def test_run_warns_on_unwhitened_input():
     rng = np.random.default_rng(43)
     raw = rng.standard_normal((3, 500)) * np.array([[4.0, 1.0, 0.3]]).T
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         run_extinf(raw, GradientConfig(max_iterations=2))
+    assert caught[0].filename == __file__  # names the caller of the run
 
 
 def test_run_divergence_reports_iteration():

@@ -488,8 +488,9 @@ def test_run_rejects_unwhitened_in_strict_mode():
     raw = rng.standard_normal((3, 500)) * np.array([[5.0, 1.0, 0.2]]).T
     with pytest.raises(ValidationError):
         run_ogextinf(raw)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         run_ogextinf(raw, IterationConfig(max_iterations=3), strict=False)
+    assert caught[0].filename == __file__  # names the caller of the run
 
 
 def test_run_validates_initial_w():
@@ -561,6 +562,12 @@ def test_iteration_config_validation():
         IterationConfig(tolerance=0.0)
     with pytest.raises(ParameterError):
         IterationConfig(sign_rule_sample_cutoff=0)
+    for cap in (2.5, 3.0, float("inf")):
+        with pytest.raises(ParameterError, match="max_iterations"):
+            IterationConfig(max_iterations=cap)
+    with pytest.raises(ParameterError, match="tolerance"):
+        IterationConfig(tolerance=float("inf"))
+    assert IterationConfig(max_iterations=np.int64(5)).max_iterations == 5
 
 
 def test_iteration_config_refuses_nan():

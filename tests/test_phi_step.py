@@ -14,6 +14,7 @@ or not it may skip the scan.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from ogica import (
     run_ogextinf,
     select_signs,
 )
+from ogica import ogextinf
 from ogica.ogextinf import _Pass
 
 finite = st.one_of(st.just(0.0), st.floats(1e-6, 100.0),
@@ -62,11 +64,13 @@ def step_case(draw):
 
 
 def _pass(X, cols):
-    """A pass over X that walks blocks of ``cols`` columns (at most the
-    width its scratches were made for)."""
-    data = _Pass(X)
-    assert cols <= data.cols
-    data.cols = cols
+    """A pass over X that walks blocks of ``cols`` columns, the last one
+    ragged when ``cols`` does not divide t."""
+    m, t = X.shape
+    with mock.patch.object(ogextinf, "_BLOCK_BYTES", 8 * m * cols):
+        data = _Pass(X)
+    assert [Xc.shape[1] for Xc, _, _ in data.blocks] == [
+        min(cols, t - c) for c in range(0, t, cols)]
     return data
 
 
@@ -139,6 +143,7 @@ def test_kernel_in_the_step_scratch_of_a_ragged_layout(cutoff):
     data = _Pass(X)
     assert data.cols == 6553
     assert [s.size for s in data.scratches] == [5 * 6553] * 2
+    assert [Xc.shape[1] for Xc, _, _ in data.blocks] == [6553] * 9 + [1023]
     W = random_orthogonal(5, rng)
     _check_pass(W, X, cutoff, data)
     # These rows are far from every rounding boundary: all signs agree.
