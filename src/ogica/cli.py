@@ -112,8 +112,10 @@ _FRACTION = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 def _add_solver_flags(parser: _Parser, cap: int) -> None:
     """The solver flags of ``decompose`` and ``benchmark``; only the
     default iteration cap differs between the two."""
-    parser.add_argument("--tolerance", type=_POSITIVE, default=1e-6,
-                        help="weight-change stopping threshold (default 1e-6)")
+    parser.add_argument("--tolerance", type=_POSITIVE,
+                        default=IterationConfig.tolerance,
+                        help="weight-change stopping threshold "
+                             "(default %(default)s)")
     parser.add_argument("--max-iterations", type=_COUNT, default=cap,
                         help="iteration cap (default %(default)s)")
     parser.add_argument("--sign-cutoff", type=_COUNT,
@@ -121,9 +123,10 @@ def _add_solver_flags(parser: _Parser, cap: int) -> None:
                         help="sample count at which sign selection "
                              "switches from the stability rule to "
                              "kurtosis (default %(default)s)")
-    parser.add_argument("--learning-rate", type=_NONNEGATIVE, default=1e-3,
-                        help="extinf step size (default 1e-3; ignored by "
-                             "ogextinf)")
+    parser.add_argument("--learning-rate", type=_NONNEGATIVE,
+                        default=GradientConfig.learning_rate,
+                        help="extinf step size (default %(default)s; "
+                             "ignored by ogextinf)")
 
 
 def build_parser() -> _Parser:

@@ -35,17 +35,16 @@ class GradientConfig:
     """Settings for a natural-gradient run.
 
     ``learning_rate`` is the step size eps; zero is allowed (a no-op
-    step), negative values are not.  When ``anneal`` is on, a step that
-    produces non-finite weights or a weight change above
-    ``blowup_threshold`` is retried from the last finite ``W`` with eps
-    halved, at most 10 times per step; the halved rate persists for the
-    rest of that run (the config itself never changes).
+    step), negative values are not.  A step that produces non-finite
+    weights or a weight change above ``blowup_threshold`` is retried from
+    the last finite ``W`` with eps halved, at most 10 times per step; the
+    halved rate persists for the rest of that run (the config itself
+    never changes).
     """
 
     learning_rate: float = 1e-3
     max_iterations: int = 1000
     tolerance: float = 1e-6
-    anneal: bool = True
     blowup_threshold: float = 1e3
 
     def __post_init__(self) -> None:
@@ -84,20 +83,16 @@ def extinf_step(W, whitened, config: GradientConfig,
     G = np.eye(W.shape[0]) - whitened(W, cutoff)[0]
     step_dir = G @ W
     eps = config.learning_rate
-    for attempt in range(_MAX_ANNEALS + 1):
+    for _ in range(_MAX_ANNEALS + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             W_next = W + eps * step_dir
         if np.all(np.isfinite(W_next)):
             change = weight_change(W, W_next)
             if change <= config.blowup_threshold:
-                break
-        if not config.anneal or attempt == _MAX_ANNEALS:
-            raise DivergenceError(
-                "gradient step diverged"
-                + ("" if not config.anneal
-                   else f" after {attempt} halvings of the learning rate"))
+                return W_next, change, eps
         eps *= 0.5
-    return W_next, change, eps
+    raise DivergenceError(f"gradient step diverged after {_MAX_ANNEALS} "
+                          "halvings of the learning rate")
 
 
 def run_extinf(whitened, config: GradientConfig | None = None,

@@ -39,7 +39,8 @@ def amari_distance(W, A) -> float:
     if W_arr.shape != A_arr.shape:
         raise ValidationError(
             f"W has shape {W_arr.shape} but A has shape {A_arr.shape}")
-    R = W_arr @ A_arr
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = W_arr @ A_arr
     if not np.all(np.isfinite(R)):
         raise ValidationError("product W @ A has non-finite entries")
     abs_r = np.abs(R)

@@ -35,7 +35,6 @@ unit-variance sources) or moves by whole multiplicative steps.
 
 from __future__ import annotations
 
-import operator
 import time
 import warnings
 from dataclasses import dataclass
@@ -50,7 +49,7 @@ from .exceptions import (
     SingularUpdateError,
     ValidationError,
 )
-from .validation import as_data_matrix, as_square_matrix, as_vector
+from .validation import as_count, as_data_matrix, as_square_matrix, as_vector
 
 # Refuse to orthogonalize a matrix whose smallest singular value is at
 # most this fraction of its largest (condition >= 1e12, or singular).
@@ -80,25 +79,15 @@ _FINITE_BOUND = 1e300
 def _check_stopping_rule(max_iterations: int, tolerance: float) -> None:
     """Refuse a stopping rule whose cap is not an integer >= 1 or whose
     tolerance is not positive and finite (NaN included)."""
-    if not max_iterations >= 1:
-        raise ParameterError(
-            f"max_iterations must be >= 1, got {max_iterations}")
-    try:
-        operator.index(max_iterations)
-    except TypeError:
-        raise ParameterError(
-            f"max_iterations must be an integer, got {max_iterations}"
-        ) from None
+    as_count(max_iterations, name="max_iterations")
     if not 0 < tolerance < np.inf:
         raise ParameterError(
             f"tolerance must be positive and finite, got {tolerance}")
 
 
 def _check_cutoff(cutoff: int) -> None:
-    """Refuse a sign-rule cutoff below one sample (NaN included)."""
-    if not cutoff >= 1:
-        raise ParameterError(
-            f"sign_rule_sample_cutoff must be >= 1, got {cutoff}")
+    """Refuse a sign-rule cutoff that is not an integer >= 1."""
+    as_count(cutoff, name="sign_rule_sample_cutoff")
 
 
 @dataclass(frozen=True)
@@ -462,8 +451,7 @@ def random_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:
     positive, so the draw is a deterministic function of the generator
     state.
     """
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
+    m = as_count(m, name="m")
     a = rng.standard_normal((m, m))
     q, r = np.linalg.qr(a)
     d = np.diag(r)

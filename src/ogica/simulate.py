@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, ParameterError
+from .validation import as_count
 
 # Mixing matrices above this condition number are redrawn so that a
 # freak near-singular draw cannot poison benchmark statistics.
@@ -42,17 +43,11 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_super < 0 or self.n_sub < 0:
-            raise ParameterError("source counts must be nonnegative")
-        if self.n_super + self.n_sub < 2:
-            raise ParameterError(
-                "need at least 2 sources in total, got "
-                f"{self.n_super + self.n_sub}")
-        if self.samples < 2:
-            raise ParameterError(
-                f"samples must be >= 2, got {self.samples}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        as_count(self.n_super, name="n_super", minimum=0)
+        as_count(self.n_sub, name="n_sub", minimum=0)
+        as_count(self.n_sources, name="n_super + n_sub", minimum=2)
+        as_count(self.samples, name="samples", minimum=2)
+        as_count(self.seed, name="seed", minimum=0)
 
     @property
     def n_sources(self) -> int:
@@ -90,9 +85,7 @@ def sample_laplacian(count: int, rng: np.random.Generator) -> np.ndarray:
     Inverse-CDF construction ``x = -sign(u - 1/2) ln(1 - 2|u - 1/2|)``
     for ``u`` uniform on the open interval (0, 1); population variance 2.
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    u = rng.random(count)
+    u = rng.random(as_count(count, name="count"))
     # rng.random covers [0, 1); redraw exact zeros so the log argument
     # stays positive and every sample is finite.
     zero = u == 0.0
@@ -105,9 +98,7 @@ def sample_laplacian(count: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_uniform2(count: int, rng: np.random.Generator) -> np.ndarray:
     """I.i.d. uniform draws on ``[-2, 2]`` (population variance 4/3)."""
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    return rng.uniform(-2.0, 2.0, count)
+    return rng.uniform(-2.0, 2.0, as_count(count, name="count"))
 
 
 def _draw_mixing(n: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -127,9 +118,7 @@ def random_mixing(n: int, rng: np.random.Generator) -> np.ndarray:
     (at most 100 attempts) so downstream benchmark statistics stay
     well-defined.
     """
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    A, _ = _draw_mixing(n, rng)
+    A, _ = _draw_mixing(as_count(n, name="n", minimum=2), rng)
     return A
 
 
@@ -140,8 +129,7 @@ def make_dataset(spec: ExperimentSpec, run_index: int) -> MixtureDataset:
     depends only on ``(spec.seed, run_index)`` and the layout, never on
     which other runs were generated before.
     """
-    if run_index < 0:
-        raise ParameterError(f"run_index must be >= 0, got {run_index}")
+    as_count(run_index, name="run_index", minimum=0)
     seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(run_index,))
     rng = np.random.Generator(np.random.PCG64(seq))
     t = spec.samples

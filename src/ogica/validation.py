@@ -1,17 +1,33 @@
-"""Shared argument checking for matrix-valued inputs.
+"""Shared argument checking for matrix-valued inputs and count settings.
 
 Data matrices are plain ``numpy.ndarray`` values with rows as
 channels/components and columns as samples.  The helpers here enforce the
 package-wide invariants (two-dimensional, at least one row, finite entries)
 at API boundaries and return float64 arrays so the numerics behave
-identically regardless of the caller's dtype.
+identically regardless of the caller's dtype.  Every count or index
+setting (iteration caps, sign cutoffs, source and sample counts, seeds,
+run indices) goes through :func:`as_count`, which accepts only integers.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import ParameterError, ValidationError
+
+
+def as_count(value, *, name: str, minimum: int = 1) -> int:
+    """Refuse a count setting below ``minimum`` (NaN included) or not an
+    integer (Python or numpy); return it as an ``int``."""
+    try:
+        if not value >= minimum:
+            raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(
+            f"{name} must be an integer, got {value!r}") from None
 
 
 def as_data_matrix(values, *, name: str = "data",

@@ -14,6 +14,8 @@ import pytest
 import ogica
 from ogica import (
     ExperimentSpec,
+    GradientConfig,
+    IterationConfig,
     ValidationError,
     make_dataset,
     read_matrix,
@@ -85,6 +87,12 @@ def test_simulate_requires_complete_layout(tmp_path):
         main(["simulate", "--n-super", "3", "--n-sub", "2",
               "--output-dir", str(tmp_path)])
     assert excinfo.value.code == 1
+    # A complete layout that ExperimentSpec refuses is a usage error too.
+    for layout in (["--n-super", "-1", "--n-sub", "2", "--samples", "100"],
+                   ["--n-super", "2", "--n-sub", "2", "--samples", "1"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", *layout, "--output-dir", str(tmp_path)])
+        assert excinfo.value.code == 1
 
 
 def test_simulate_rejects_negative_run(tmp_path):
@@ -606,6 +614,10 @@ def test_solver_flags_are_shared(capsys):
     assert "(default 1000)" in _flag_help(capsys, "benchmark",
                                           "--max-iterations")
     args = build_parser().parse_args(["benchmark"])
+    assert args.tolerance == IterationConfig.tolerance
+    assert args.tolerance == GradientConfig.tolerance
+    assert args.learning_rate == GradientConfig.learning_rate
+    assert args.sign_cutoff == IterationConfig.sign_rule_sample_cutoff
     assert args.algorithms == _ALGORITHMS
     assert f"{{{','.join(_ALGORITHMS)}}}" in _flag_help(capsys, "decompose",
                                                        "--algorithm")

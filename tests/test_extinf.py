@@ -9,6 +9,7 @@ from ogica import (
     ExperimentSpec,
     GradientConfig,
     ParameterError,
+    ValidationError,
     apply_whitening,
     extinf_step,
     fit_whitening,
@@ -34,7 +35,6 @@ def test_config_defaults_and_validation():
     assert config.learning_rate == 1e-3
     assert config.max_iterations == 1000
     assert config.tolerance == 1e-6
-    assert config.anneal is True
 
     GradientConfig(learning_rate=0.0)  # a frozen rate of zero is allowed
     with pytest.raises(ParameterError):
@@ -52,6 +52,8 @@ def test_config_defaults_and_validation():
         GradientConfig(tolerance=float("inf"))
     with pytest.raises(ParameterError, match="learning_rate"):
         GradientConfig(learning_rate=float("inf"))
+    with pytest.raises(ParameterError, match="max_iterations"):
+        GradientConfig(max_iterations="5")
     assert GradientConfig(max_iterations=np.int64(5)).max_iterations == 5
     GradientConfig(blowup_threshold=float("inf"))  # never anneal on size
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -83,7 +85,7 @@ def test_config_refuses_nan_learning_rate():
 def test_step_with_zero_rate_is_identity():
     X = _whitened_mixture(2, 1, 2000, seed=31)
     W = np.eye(3) + 0.01
-    config = GradientConfig(learning_rate=0.0, anneal=False)
+    config = GradientConfig(learning_rate=0.0)
     W_next, change, eps = extinf_step(W.copy(), X, config)
     assert np.array_equal(W_next, W)
     assert change == 0.0
@@ -169,14 +171,6 @@ def test_annealing_halves_rate_exact_number_of_times():
     assert_allclose(W_next, W + eps * G @ W, rtol=0, atol=1e-12)
 
 
-def test_annealing_disabled_raises_immediately():
-    X = _whitened_mixture(2, 1, 2000, seed=36)
-    config = GradientConfig(learning_rate=1e12, anneal=False)
-    with pytest.raises(DivergenceError):
-        extinf_step(np.eye(3), X, config)
-    assert config.learning_rate == 1e12  # untouched on failure
-
-
 def test_annealing_budget_exhausted():
     # Pick a rate so large that even ten halvings leave the step above the
     # blow-up threshold; the rate must then stay untouched on failure.
@@ -197,6 +191,12 @@ def test_overflowing_weights_report_divergence():
     X = _whitened_mixture(2, 1, 2000, seed=37)
     with pytest.raises(DivergenceError):
         extinf_step(np.full((3, 3), 1e308), X, GradientConfig())
+
+
+def test_step_refuses_W_of_another_size():
+    X = _whitened_mixture(1, 1, 400, seed=5)
+    with pytest.raises(ValidationError, match="W is 3x3"):
+        extinf_step(np.eye(3), X, GradientConfig())
 
 
 def test_run_converges_quickly_with_loose_tolerance():
@@ -270,7 +270,7 @@ def test_run_warns_on_unwhitened_input():
 
 def test_run_divergence_reports_iteration():
     X = _whitened_mixture(2, 1, 2000, seed=44)
-    config = GradientConfig(learning_rate=1e12, anneal=False)
+    config = GradientConfig(learning_rate=1e12)
     with pytest.raises(DivergenceError) as excinfo:
         run_extinf(X, config)
     assert excinfo.value.iteration == 1

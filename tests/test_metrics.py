@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,10 @@ def test_amari_shape_and_finiteness_checks():
     bad[0, 0] = np.nan
     with pytest.raises(ValidationError):
         amari_distance(bad, np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning first
+        with pytest.raises(ValidationError, match="non-finite"):
+            amari_distance(1e200 * np.eye(2), 1e200 * np.eye(2))
 
 
 # ----------------------------------------------------- composed_unmixing

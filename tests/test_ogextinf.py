@@ -143,6 +143,10 @@ def test_sign_rules_need_two_samples():
         select_sign_stability(np.array([1.0]))
     with pytest.raises(ValidationError):
         select_sign_kurtosis(np.array([1.0]))
+    with pytest.raises(ValidationError):
+        select_sign_kurtosis(np.ones((2, 3)))  # a component is 1-D
+    with pytest.raises(ValidationError):
+        select_signs(np.empty((0, 5)))
 
 
 # A repeating pattern on which the two rules disagree (stability +1,
@@ -222,6 +226,8 @@ def test_higher_order_cov_validates_signs():
         higher_order_cov(S, np.ones(3))
     with pytest.raises(ParameterError):
         higher_order_cov(S, np.array([1.0, 0.5]))
+    with pytest.raises(ValidationError):
+        higher_order_cov(S, [1.0, np.nan])
 
 
 # ------------------------------------------- symmetric_orthogonalize
@@ -567,6 +573,13 @@ def test_iteration_config_validation():
             IterationConfig(max_iterations=cap)
     with pytest.raises(ParameterError, match="tolerance"):
         IterationConfig(tolerance=float("inf"))
+    with pytest.raises(ParameterError, match="max_iterations"):
+        IterationConfig(max_iterations="5")
+    for cutoff in ("5", 2.5):
+        with pytest.raises(ParameterError, match="sign_rule_sample_cutoff"):
+            IterationConfig(sign_rule_sample_cutoff=cutoff)
+        with pytest.raises(ParameterError, match="sign_rule_sample_cutoff"):
+            select_signs(np.ones((2, 5)), cutoff)
     assert IterationConfig(max_iterations=np.int64(5)).max_iterations == 5
 
 
@@ -626,3 +639,6 @@ def test_random_orthogonal_properties():
     c = random_orthogonal(4, np.random.default_rng(10))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    for m in (0, 2.5):
+        with pytest.raises(ParameterError, match="m must be"):
+            random_orthogonal(m, np.random.default_rng(0))

@@ -38,6 +38,15 @@ def test_spec_validation():
         ExperimentSpec(n_super=-1, n_sub=2, samples=100, seed=7)
     with pytest.raises(ParameterError):
         ExperimentSpec(n_super=1, n_sub=1, samples=1, seed=7)
+    for name, value in (("n_super", 2.5), ("samples", 100.5), ("seed", 1.5),
+                        ("seed", "1")):
+        fields = dict(n_super=2, n_sub=2, samples=100, seed=7)
+        fields[name] = value
+        with pytest.raises(ParameterError, match=name):
+            ExperimentSpec(**fields)
+    spec = ExperimentSpec(n_super=np.int64(2), n_sub=np.int64(2),
+                          samples=np.int64(100), seed=np.int64(7))
+    assert spec.n_sources == 4
 
 
 def test_spec_refuses_negative_seed():
@@ -116,6 +125,9 @@ def test_sample_count_validation():
         sample_laplacian(0, rng)
     with pytest.raises(ParameterError):
         sample_uniform2(-5, rng)
+    for sampler in (sample_laplacian, sample_uniform2):
+        with pytest.raises(ParameterError, match="count"):
+            sampler(2.5, rng)
 
 
 # ------------------------------------------------------------ mixing
@@ -145,6 +157,8 @@ def test_random_mixing_deterministic():
 def test_random_mixing_needs_two_channels():
     with pytest.raises(ParameterError):
         random_mixing(1, np.random.default_rng(0))
+    with pytest.raises(ParameterError, match="n must be an integer"):
+        random_mixing(2.0, np.random.default_rng(0))
 
 
 class _SingularThenGoodRng:
@@ -245,3 +259,5 @@ def test_make_dataset_rejects_negative_run():
     spec = ExperimentSpec(n_super=1, n_sub=1, samples=100, seed=0)
     with pytest.raises(ParameterError):
         make_dataset(spec, -1)
+    with pytest.raises(ParameterError, match="run_index"):
+        make_dataset(spec, 1.5)

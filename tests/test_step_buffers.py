@@ -164,7 +164,7 @@ def test_buffers_dropped_when_a_run_raises(monkeypatch, p1):
     assert len(refs) == 1 and _released(refs)
 
     with pytest.raises(DivergenceError):
-        run_extinf(p1, GradientConfig(learning_rate=1e12, anneal=False))
+        run_extinf(p1, GradientConfig(learning_rate=1e12))
     assert len(refs) == 2 and _released(refs)
 
 
