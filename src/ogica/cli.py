@@ -44,7 +44,7 @@ from .simulate import (
     experiment_preset,
     make_dataset,
 )
-from .validation import as_data_matrix
+from .validation import FRACTION, NONNEGATIVE, POSITIVE, as_data_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,9 +63,9 @@ _SOLVERS = {
         sign_rule_sample_cutoff=flags.sign_cutoff, initial_W=initial_W),
         strict=True),
     "extinf": lambda X, flags: _extinf(X, GradientConfig(
-        learning_rate=flags.learning_rate,
-        max_iterations=flags.max_iterations, tolerance=flags.tolerance),
-        flags.sign_cutoff),
+        max_iterations=flags.max_iterations, tolerance=flags.tolerance,
+        sign_rule_sample_cutoff=flags.sign_cutoff,
+        learning_rate=flags.learning_rate)),
 }
 _ALGORITHMS = tuple(_SOLVERS)
 
@@ -104,9 +104,9 @@ def _algorithm_list(text: str) -> tuple[str, ...]:
 
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _INDEX = _checked(int, lambda v: v >= 0, ">= 0")
-_POSITIVE = _checked(float, lambda v: 0 < v < np.inf, "positive and finite")
-_NONNEGATIVE = _checked(float, lambda v: 0 <= v < np.inf, ">= 0 and finite")
-_FRACTION = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+_POSITIVE = _checked(float, *POSITIVE)
+_NONNEGATIVE = _checked(float, *NONNEGATIVE)
+_FRACTION = _checked(float, *FRACTION)
 
 
 def _add_solver_flags(parser: _Parser, cap: int) -> None:

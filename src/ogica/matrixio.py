@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .exceptions import MatrixParseError
+from .exceptions import MatrixParseError, ValidationError
 
 # Bytes that ``numpy.loadtxt`` strips from a cell as whitespace and
 # ``float`` does not.
@@ -28,9 +28,14 @@ def _chunks(values):
     """The CSV text of a non-empty 2-D array (the format has no empty
     matrix) as a generator of byte chunks of whole cells.  The shape is
     checked before the generator is returned."""
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"need an array of real numbers: {exc}") from None
     if arr.ndim != 2 or not arr.size:
-        raise ValueError(f"need a non-empty 2-D array, got shape {arr.shape}")
+        raise ValidationError(
+            f"need a non-empty 2-D array, got shape {arr.shape}")
     # Imported on the first write rather than at start-up, where compiling
     # the kernel more than doubled this module's import time.
     from ._csvformat import format_blocks

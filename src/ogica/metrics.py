@@ -81,13 +81,16 @@ def percentile_nearest_rank(values, p: float) -> float:
     """Nearest-rank percentile: the value at rank ``ceil(p/100 * N)``.
 
     No interpolation; the result is always one of the input values.
-    ``p`` must lie in (0, 100].
+    ``p`` must lie in (0, 100], and no value may be NaN.
     """
     if not 0.0 < p <= 100.0:
         raise ValidationError(f"percentile must be in (0, 100], got {p}")
     data = sorted(float(v) for v in values)
     if not data:
         raise ValidationError("cannot take a percentile of no values")
+    if any(math.isnan(v) for v in data):
+        # NaN compares false both ways, so its rank would depend on order.
+        raise ValidationError("cannot take a percentile of NaN")
     rank = max(1, math.ceil(p / 100.0 * len(data)))
     return data[rank - 1]
 

@@ -49,7 +49,14 @@ from .exceptions import (
     SingularUpdateError,
     ValidationError,
 )
-from .validation import as_count, as_data_matrix, as_square_matrix, as_vector
+from .validation import (
+    POSITIVE,
+    as_count,
+    as_data_matrix,
+    as_real,
+    as_square_matrix,
+    as_vector,
+)
 
 # Refuse to orthogonalize a matrix whose smallest singular value is at
 # most this fraction of its largest (condition >= 1e12, or singular).
@@ -76,39 +83,35 @@ _BLOCK_BYTES = 1 << 18
 _FINITE_BOUND = 1e300
 
 
-def _check_stopping_rule(max_iterations: int, tolerance: float) -> None:
-    """Refuse a stopping rule whose cap is not an integer >= 1 or whose
-    tolerance is not positive and finite (NaN included)."""
-    as_count(max_iterations, name="max_iterations")
-    if not 0 < tolerance < np.inf:
-        raise ParameterError(
-            f"tolerance must be positive and finite, got {tolerance}")
-
-
-def _check_cutoff(cutoff: int) -> None:
-    """Refuse a sign-rule cutoff that is not an integer >= 1."""
-    as_count(cutoff, name="sign_rule_sample_cutoff")
-
-
-@dataclass(frozen=True)
-class IterationConfig:
-    """Settings for a full OgExtInf run.
-
-    ``sign_rule_sample_cutoff`` picks the nonlinearity-sign estimator:
-    below the cutoff the tanh-based stability criterion is used, at or
-    above it the sign of the sample excess kurtosis.  ``initial_W`` must
-    be orthogonal when given, and the config keeps a read-only copy of
-    it; the default is the identity.
-    """
+@dataclass(frozen=True, kw_only=True)
+class _RunConfig:
+    """The settings every solver run has, checked when it is built: the
+    stopping rule, and the sample count at which the sign rule switches
+    from the tanh-based stability criterion to the sign of the sample
+    excess kurtosis."""
 
     max_iterations: int = 1000
     tolerance: float = 1e-6
     sign_rule_sample_cutoff: int = _SIGN_CUTOFF
+
+    def __post_init__(self) -> None:
+        as_count(self.max_iterations, name="max_iterations")
+        as_real(self.tolerance, POSITIVE, name="tolerance")
+        as_count(self.sign_rule_sample_cutoff, name="sign_rule_sample_cutoff")
+
+
+@dataclass(frozen=True, kw_only=True)
+class IterationConfig(_RunConfig):
+    """Settings for a full OgExtInf run: the cap, tolerance and sign
+    cutoff of every run (:class:`_RunConfig`), and ``initial_W``, which
+    must be orthogonal when given and of which the config keeps a
+    read-only copy; the default is the identity.
+    """
+
     initial_W: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        _check_stopping_rule(self.max_iterations, self.tolerance)
-        _check_cutoff(self.sign_rule_sample_cutoff)
+        super().__post_init__()
         if self.initial_W is not None:
             W0 = as_square_matrix(self.initial_W, name="initial_W").copy()
             W0.flags.writeable = False
@@ -178,7 +181,7 @@ def phi(values, k) -> np.ndarray:
     ``k = +1`` is the super-Gaussian shape, ``k = -1`` the sub-Gaussian
     one.  Odd in ``s`` for either sign.
     """
-    if k not in (1, -1):
+    if np.ndim(k) or k not in (1, -1):
         raise ParameterError(f"k must be +1 or -1, got {k!r}")
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -313,7 +316,7 @@ def select_signs(sources, cutoff: int = _SIGN_CUTOFF) -> np.ndarray:
     fewer than ``cutoff`` samples and that of :func:`select_sign_kurtosis`
     otherwise, for all rows.  Holds one m x t temporary.
     """
-    _check_cutoff(cutoff)
+    as_count(cutoff, name="sign_rule_sample_cutoff")
     S = as_data_matrix(sources, name="sources")
     t = S.shape[1]
     if t < cutoff:
@@ -417,7 +420,7 @@ def update_step(state: UnmixingState, whitened,
     """
     W = state.W
     if not isinstance(whitened, _Pass):
-        _check_cutoff(cutoff)
+        as_count(cutoff, name="sign_rule_sample_cutoff")
         whitened = _Pass(as_data_matrix(whitened, name="whitened"))
         W = as_square_matrix(W, name="state.W")
         _check_orthogonal(W, whitened.X.shape[0], "state.W")
@@ -469,7 +472,7 @@ def _check_whitened(cov: np.ndarray, strict: bool) -> None:
         warnings.warn(msg, stacklevel=5)
 
 
-def _iterate(X: np.ndarray, strict: bool, step, state, cfg):
+def _iterate(X: np.ndarray, strict: bool, step, state, cfg: _RunConfig):
     """Build the pass over a validated X, check that X is white (raise
     when ``strict``, else warn) and apply ``step(state, pass) -> (state,
     weight_change)`` under ``cfg``'s ``max_iterations`` and ``tolerance``;

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateDataError, ParameterError, ValidationError
+from .exceptions import DegenerateDataError, ValidationError
 from .ogextinf import _BLOCK_BYTES
-from .validation import as_data_matrix
+from .validation import FRACTION, as_data_matrix, as_real
 
 # Eigenvalues are clamped at this fraction of the largest one before the
 # inverse square root, so nearly-null directions cannot blow up the scale.
@@ -106,9 +106,8 @@ def fit_whitening(data, variance_threshold: float | None = 0.0
     DegenerateDataError
         If the data has no variance at all.
     """
-    if variance_threshold is not None and not 0.0 <= variance_threshold < 1.0:
-        raise ParameterError(
-            f"variance_threshold must be in [0, 1), got {variance_threshold}")
+    if variance_threshold is not None:
+        as_real(variance_threshold, FRACTION, name="variance_threshold")
     centered, mean = center(data)
     return _fit_centered(centered, mean, variance_threshold)
 

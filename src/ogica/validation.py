@@ -1,4 +1,4 @@
-"""Shared argument checking for matrix-valued inputs and count settings.
+"""Shared argument checking for matrix-valued inputs and settings.
 
 Data matrices are plain ``numpy.ndarray`` values with rows as
 channels/components and columns as samples.  The helpers here enforce the
@@ -6,16 +6,23 @@ package-wide invariants (two-dimensional, at least one row, finite entries)
 at API boundaries and return float64 arrays so the numerics behave
 identically regardless of the caller's dtype.  Every count or index
 setting (iteration caps, sign cutoffs, source and sample counts, seeds,
-run indices) goes through :func:`as_count`, which accepts only integers.
+run indices) goes through :func:`as_count`, which accepts only integers;
+every real one through :func:`as_real` and a range the CLI also uses.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
 
 from .exceptions import ParameterError, ValidationError
+
+# The ranges of the real settings: a test (false for NaN) and its wording.
+POSITIVE = (lambda v: 0 < v < np.inf, "positive and finite")
+NONNEGATIVE = (lambda v: 0 <= v < np.inf, ">= 0 and finite")
+FRACTION = (lambda v: 0 <= v < 1, "in [0, 1)")
 
 
 def as_count(value, *, name: str, minimum: int = 1) -> int:
@@ -28,6 +35,15 @@ def as_count(value, *, name: str, minimum: int = 1) -> int:
     except TypeError:
         raise ParameterError(
             f"{name} must be an integer, got {value!r}") from None
+
+
+def as_real(value, rule, *, name: str) -> float:
+    """Refuse a setting that is not a real scalar (Python or numpy) or is
+    outside ``rule``, one of the ranges above; return it as a ``float``."""
+    accept, wording = rule
+    if not (isinstance(value, numbers.Real) and accept(value)):
+        raise ParameterError(f"{name} must be {wording}, got {value!r}")
+    return float(value)
 
 
 def as_data_matrix(values, *, name: str = "data",

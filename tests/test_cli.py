@@ -618,6 +618,7 @@ def test_solver_flags_are_shared(capsys):
     assert args.tolerance == GradientConfig.tolerance
     assert args.learning_rate == GradientConfig.learning_rate
     assert args.sign_cutoff == IterationConfig.sign_rule_sample_cutoff
+    assert args.sign_cutoff == GradientConfig.sign_rule_sample_cutoff
     assert args.algorithms == _ALGORITHMS
     assert f"{{{','.join(_ALGORITHMS)}}}" in _flag_help(capsys, "decompose",
                                                        "--algorithm")

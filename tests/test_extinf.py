@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ogica import (
     run_extinf,
     select_signs,
 )
+from ogica import extinf
 
 _B_FIXED = 1.5920393250910618
 
@@ -43,8 +45,6 @@ def test_config_defaults_and_validation():
         GradientConfig(max_iterations=0)
     with pytest.raises(ParameterError):
         GradientConfig(tolerance=-1.0)
-    with pytest.raises(ParameterError):
-        GradientConfig(blowup_threshold=0.0)
     for cap in (2.5, 3.0, float("inf")):
         with pytest.raises(ParameterError, match="max_iterations"):
             GradientConfig(max_iterations=cap)
@@ -55,7 +55,18 @@ def test_config_defaults_and_validation():
     with pytest.raises(ParameterError, match="max_iterations"):
         GradientConfig(max_iterations="5")
     assert GradientConfig(max_iterations=np.int64(5)).max_iterations == 5
-    GradientConfig(blowup_threshold=float("inf"))  # never anneal on size
+    message = "tolerance must be positive and finite, got '1e-6'"
+    with pytest.raises(ParameterError, match=message):
+        GradientConfig(tolerance="1e-6")
+    for bad in ("1e-6", None, 1j):
+        with pytest.raises(ParameterError, match="tolerance"):
+            GradientConfig(tolerance=bad)
+        with pytest.raises(ParameterError, match="learning_rate"):
+            GradientConfig(learning_rate=bad)
+    rate = np.float32(1e-3)
+    assert GradientConfig(learning_rate=rate).learning_rate == rate
+    with pytest.raises(TypeError):
+        GradientConfig(1e-3)  # keyword-only: the fields' order is no API
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.learning_rate = 1.0
 
@@ -67,12 +78,11 @@ def test_config_refuses_nan_max_iterations():
 
 @pytest.mark.parametrize("cutoff", [0, -5, float("nan")])
 def test_step_and_run_refuse_a_cutoff_below_one(cutoff):
-    X = _whitened_mixture(1, 1, 400, seed=5)
+    # The step and the run take their cutoff from the config, which
+    # refuses it when built.
     message = f"sign_rule_sample_cutoff must be >= 1, got {cutoff}"
     with pytest.raises(ParameterError, match=message):
-        extinf_step(np.eye(2), X, GradientConfig(), cutoff)
-    with pytest.raises(ParameterError, match=message):
-        run_extinf(X, GradientConfig(), cutoff)
+        GradientConfig(sign_rule_sample_cutoff=cutoff)
 
 
 def test_config_refuses_nan_learning_rate():
@@ -161,9 +171,9 @@ def test_annealing_halves_rate_exact_number_of_times():
     norm_step = np.linalg.norm(G @ W)
 
     # choose a rate so exactly seven halvings bring the step below threshold
-    threshold = 1e3
+    threshold = extinf._BLOWUP
     eps0 = threshold * (2.0 ** 6) / norm_step * 1.01
-    config = GradientConfig(learning_rate=eps0, blowup_threshold=threshold)
+    config = GradientConfig(learning_rate=eps0)
     W_next, change, eps = extinf_step(W.copy(), X, config)
     assert eps == eps0 / 2.0 ** 7  # halvings are exact
     assert config.learning_rate == eps0  # the config is never written
@@ -239,12 +249,12 @@ def test_run_reusing_annealed_config_repeats_result():
     # second run with the same config must start from the configured
     # rate again, not from the rate the first run ended with.
     X = 3.0 * _whitened_mixture(2, 1, 2000, seed=35)
-    config = GradientConfig(learning_rate=0.5, blowup_threshold=10.0,
-                            max_iterations=3)
-    with pytest.warns(UserWarning):
-        first = run_extinf(X, config)
-    with pytest.warns(UserWarning):
-        second = run_extinf(X, config)
+    config = GradientConfig(learning_rate=0.5, max_iterations=3)
+    with mock.patch.object(extinf, "_BLOWUP", 10.0):
+        with pytest.warns(UserWarning):
+            first = run_extinf(X, config)
+        with pytest.warns(UserWarning):
+            second = run_extinf(X, config)
     assert first.learning_rate < 0.5
     assert config.learning_rate == 0.5
     assert np.array_equal(first.W, second.W)

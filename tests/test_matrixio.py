@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ogica import MatrixParseError, format_matrix, read_matrix, write_matrix
+from ogica import (
+    MatrixParseError,
+    ValidationError,
+    format_matrix,
+    read_matrix,
+    write_matrix,
+)
 from ogica import _csvformat, matrixio
 from ogica.simulate import experiment_preset, make_dataset
 
@@ -59,13 +65,15 @@ def test_format_is_plain_csv():
     assert text == "1.5,-2\n0.25,100\n"
     # The format has no empty matrix: read_matrix would refuse its text.
     for shape in ((3, 0), (0, 4)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             format_matrix(np.empty(shape))
 
 
 def test_format_rejects_wrong_ndim():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         format_matrix(np.ones(4))
+    with pytest.raises(ValidationError):
+        format_matrix([["a"]])
 
 
 def test_written_file_uses_lf_endings(tmp_path):
@@ -279,9 +287,9 @@ def test_written_bytes_equal_formatted_text(tmp_path, shape):
     values = np.random.default_rng(8).standard_normal(shape)
     path = tmp_path / "m.csv"
     if values.size == 0:  # refused by both, before the file is opened
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             format_matrix(values)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             write_matrix(path, values)
         assert not path.exists()
         return

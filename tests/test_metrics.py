@@ -214,6 +214,7 @@ def test_percentile_examples():
     assert percentile_nearest_rank(ranks, 100) == 100.0
     assert percentile_nearest_rank([42.0], 10) == 42.0
     assert percentile_nearest_rank([42.0], 100) == 42.0
+    assert percentile_nearest_rank([1.0, math.inf, 0.0], 100) == math.inf
 
 
 def test_percentile_never_interpolates():
@@ -234,6 +235,11 @@ def test_percentile_validation():
     for bad_p in (0.0, -5.0, 100.5):
         with pytest.raises(ValidationError):
             percentile_nearest_rank([1.0], bad_p)
+    # Each order of a NaN gave another result: nan, 0.0 and 1.0.
+    for values in ([1.0, math.nan, 0.0], [math.nan, 1.0, 0.0],
+                   [0.0, 1.0, math.nan]):
+        with pytest.raises(ValidationError, match="NaN"):
+            percentile_nearest_rank(values, 50)
 
 
 # ------------------------------------------------------------- aggregate

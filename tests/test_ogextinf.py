@@ -76,7 +76,7 @@ def test_phi_is_odd():
 
 
 def test_phi_invalid_sign():
-    for bad in (0, 2, 0.5, None):
+    for bad in (0, 2, 0.5, None, np.array([1.0, 1.0])):
         with pytest.raises(ParameterError):
             phi(np.ones(3), bad)
 
@@ -573,6 +573,9 @@ def test_iteration_config_validation():
             IterationConfig(max_iterations=cap)
     with pytest.raises(ParameterError, match="tolerance"):
         IterationConfig(tolerance=float("inf"))
+    for bad in ("1e-6", None, 1j):
+        with pytest.raises(ParameterError, match="tolerance"):
+            IterationConfig(tolerance=bad)
     with pytest.raises(ParameterError, match="max_iterations"):
         IterationConfig(max_iterations="5")
     for cutoff in ("5", 2.5):

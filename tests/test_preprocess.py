@@ -146,6 +146,9 @@ def test_fit_whitening_invalid_threshold():
         fit_whitening(_DIAG41, 1.0)
     with pytest.raises(ParameterError):
         fit_whitening(_DIAG41, -0.2)
+    for bad in ("0.1", 1j):  # None is the null-direction rule
+        with pytest.raises(ParameterError, match="variance_threshold"):
+            fit_whitening(_DIAG41, bad)
 
 
 def test_fit_whitening_degenerate_data():

@@ -119,14 +119,15 @@ def test_run_extinf_equals_stepping_extinf_step(layout, max_iterations,
     m = X.shape[0]
     run_config = GradientConfig(learning_rate=learning_rate,
                                 max_iterations=max_iterations,
-                                tolerance=tolerance)
-    result, failure = _run(lambda: run_extinf(X, run_config, _CUTOFF))
+                                tolerance=tolerance,
+                                sign_rule_sample_cutoff=_CUTOFF)
+    result, failure = _run(lambda: run_extinf(X, run_config))
 
     def step(state):
         # Carry the halved rate forward, as the run does.
         W, eps = state
-        W, change, eps = extinf_step(
-            W, X, GradientConfig(learning_rate=eps), _CUTOFF)
+        W, change, eps = extinf_step(W, X, GradientConfig(
+            learning_rate=eps, sign_rule_sample_cutoff=_CUTOFF))
         return (W, eps), change
 
     (W, eps), changes, expected_failure = _stepwise(
